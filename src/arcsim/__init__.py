@@ -9,14 +9,14 @@ functional boundedness, repulsion thresholds) can be checked numerically.
 """
 
 from .diagnostics import DiagRecord, default_p_diag, record, y_functional
-from .elliptic import EllipticConvergenceError, EllipticResult, solve_w
+from .elliptic import relative_residual, solve_w_values
 from .grid import (
     GridSpec,
     ScalarField,
-    div_u_grad_phi,
+    div_u_grad_values,
     grad_sq_integral,
     integrate,
-    laplacian_neumann,
+    laplacian_values,
     load_snapshot,
     lp_norm,
     save_snapshot,
@@ -42,8 +42,8 @@ __all__ = [
     "GridSpec",
     "ScalarField",
     "integrate",
-    "laplacian_neumann",
-    "div_u_grad_phi",
+    "laplacian_values",
+    "div_u_grad_values",
     "grad_sq_integral",
     "lp_norm",
     "sup_norm",
@@ -54,9 +54,8 @@ __all__ = [
     "g_of",
     "validate_hypotheses",
     "HypothesisReport",
-    "solve_w",
-    "EllipticResult",
-    "EllipticConvergenceError",
+    "solve_w_values",
+    "relative_residual",
     "SimState",
     "RunConfig",
     "Forcing",

@@ -2,9 +2,15 @@
 
 The central monitored quantity is y_p = int(u^p) + (chi^2/gamma)^p * int(|grad v|^(2p)),
 whose boundedness along a run is the numerical shadow of the analytical
-boundedness mechanism. Gradient magnitudes at cells come from axis-wise
-central differences (one-sided at boundaries, consistent with the reflecting
-ghost convention of the operators).
+boundedness mechanism.
+
+Two gradient discretizations are used on purpose. ``grad_v_sq`` comes from
+:func:`grid.grad_sq_integral`, which sums squared interior face differences:
+by summation by parts against the face-flux Laplacian this is exactly the
+discrete Dirichlet energy -sum(v * Lap_h v) * |cell|. The y_p term needs
+|grad v|^2 at cell centers, to be raised to the power p cell by cell, so it
+uses axis-wise central differences (one-sided at boundaries, consistent with
+the reflecting ghost convention of the operators).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid, kinetics
+from . import elliptic, grid, kinetics
 from .grid import ScalarField
 
 __all__ = ["DiagRecord", "default_p_diag", "y_functional", "record", "write_csv"]
@@ -70,31 +76,21 @@ class DiagRecord:
         return all(np.isfinite(v) for v in dataclasses.astuple(self))
 
 
-def record(state, config, dt_current: float | None = None, w_source=None) -> DiagRecord:
+def record(state, config, dt_current: float, w_source=None) -> DiagRecord:
     """Assemble a :class:`DiagRecord` from the current state.
 
-    ``w_source`` overrides the right-hand side used for the repellent
-    residual check (runs with manufactured forcing need this); by default it
-    is the production rate of the current u. The residual is recomputed here
-    rather than trusted from the solver.
+    ``dt_current`` is the step size the run is using. ``w_source`` overrides
+    the right-hand side used for the repellent residual check (runs with
+    manufactured forcing need this); by default it is the production rate of
+    the current u.
     """
     params = config.params
     p = config.p_diag if config.p_diag is not None else default_p_diag(params.n)
     u, v, w = state.u, state.v, state.w
-    spacing = u.spec.spacing
 
     if w_source is None:
         w_source = kinetics.g_of(u.values, params)
-    resid = np.linalg.norm(
-        (params.delta * w.values - grid.laplacian_values(w.values, spacing) - w_source).ravel()
-    )
-    src_norm = float(np.linalg.norm(np.asarray(w_source).ravel()))
-    w_residual = float(resid / src_norm) if src_norm > 0.0 else float(resid)
-
-    if dt_current is None:
-        from .stepper import stable_dt  # local import to avoid a cycle
-
-        dt_current = stable_dt(state, params)
+    w_residual = elliptic.relative_residual(w.values, w_source, u.spec.spacing, params.delta)
 
     return DiagRecord(
         t=state.t,

@@ -2,53 +2,24 @@
 
 At every time level the repellent w satisfies (delta*I - Lap) w = source with
 reflecting Neumann boundaries. The operator is symmetric positive definite
-for delta > 0. Two direct paths cover production use: a cached banded
-Cholesky factorization in 1D, and the cosine-transform diagonalization of
-the reflection stencil in 2D (cell-centered DCT-II modes are its exact
-eigenvectors). A matrix-free conjugate-gradient path is kept as an
-independent cross-check; it is far too slow to sit inside the time loop at
-production tolerances.
+for delta > 0 and is solved directly: a cached banded Cholesky factorization
+in 1D, and the cosine-transform diagonalization of the reflection stencil in
+2D (cell-centered DCT-II modes are its exact eigenvectors). The residual of
+a solve has one definition, :func:`relative_residual`, which the diagnostics
+evaluate at output times.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dctn, idctn
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .grid import ScalarField, laplacian_values
+from .grid import laplacian_values
 
-__all__ = [
-    "EllipticResult",
-    "EllipticConvergenceError",
-    "solve_w",
-    "solve_w_values",
-    "DEFAULT_TOL",
-]
-
-DEFAULT_TOL = 1e-10
-
-
-class EllipticConvergenceError(RuntimeError):
-    """The iterative solver failed to reach the requested residual."""
-
-    def __init__(self, residual: float, iterations: int, tol: float):
-        super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(relative residual {residual:.3e}, target {tol:.3e})"
-        )
-        self.residual = residual
-        self.iterations = iterations
-        self.tol = tol
-
-
-class EllipticResult(NamedTuple):
-    w: ScalarField
-    residual: float  # relative 2-norm residual (absolute when the source is zero)
-    iterations: int  # 0 for the direct paths
+__all__ = ["solve_w_values", "relative_residual"]
 
 
 @lru_cache(maxsize=32)
@@ -79,118 +50,30 @@ def _dct_eigenvalues(shape: tuple[int, ...], spacing: tuple[float, ...]) -> np.n
     return total
 
 
-def _apply_operator(x: np.ndarray, spacing: tuple[float, ...], delta: float) -> np.ndarray:
-    return delta * x - laplacian_values(x, spacing)
+def solve_w_values(source: np.ndarray, spacing: tuple[float, ...], delta: float) -> np.ndarray:
+    """Solve (delta*I - Lap) w = source with zero-flux boundaries on a raw cell array.
 
-
-def _cg(b, spacing, delta, tol_abs, max_iter, x0):
-    x = x0.copy()
-    r = b - _apply_operator(x, spacing, delta)
-    rs = float(np.vdot(r, r))
-    iterations = 0
-    if np.sqrt(rs) <= tol_abs:
-        return x, iterations
-    p = r.copy()
-    while iterations < max_iter:
-        ap = _apply_operator(p, spacing, delta)
-        alpha = rs / float(np.vdot(p, ap))
-        x += alpha * p
-        r -= alpha * ap
-        iterations += 1
-        rs_new = float(np.vdot(r, r))
-        if np.sqrt(rs_new) <= tol_abs:
-            return x, iterations
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, iterations
-
-
-def _residual_norm(w, b, spacing, delta) -> float:
-    return float(np.linalg.norm((_apply_operator(w, spacing, delta) - b).ravel()))
-
-
-def solve_w_values(
-    source: np.ndarray,
-    spacing: tuple[float, ...],
-    delta: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-    initial: np.ndarray | None = None,
-    method: str = "auto",
-) -> tuple[np.ndarray, float, int]:
-    """Array-level solve of (delta*I - Lap) w = source; see :func:`solve_w`."""
+    Banded Cholesky in 1D, cosine-transform diagonalization in 2D.
+    """
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if method not in ("auto", "cg"):
-        raise ValueError(f"unknown method {method!r}")
     b = np.asarray(source, dtype=float)
-    b_norm = float(np.linalg.norm(b.ravel()))
-
     if np.ptp(b) == 0.0:
         # constant source: w = b/delta solves the discrete system exactly
         # (the stencil annihilates constants), so keep it bitwise flat
-        w = b / delta
-        resid = abs(delta * (b.flat[0] / delta) - b.flat[0]) * np.sqrt(b.size)
-        return w, resid / b_norm if b_norm > 0.0 else resid, 0
-
-    if method == "cg":
-        if b_norm == 0.0:
-            return np.zeros_like(b), 0.0, 0
-        if max_iter is None:
-            max_iter = 10 * b.size
-        x0 = np.zeros_like(b) if initial is None else np.asarray(initial, dtype=float)
-        tol_abs = tol * b_norm
-        w, iterations = _cg(b, spacing, delta, tol_abs, max_iter, x0)
-        # the recurrence residual can drift from the true one; verify and,
-        # if needed, polish with a restarted sweep before giving up
-        resid = _residual_norm(w, b, spacing, delta)
-        restarts = 0
-        while resid > tol_abs and restarts < 2 and iterations < max_iter:
-            w, extra = _cg(b, spacing, delta, tol_abs, max_iter - iterations, w)
-            iterations += extra
-            resid = _residual_norm(w, b, spacing, delta)
-            restarts += 1
-        if resid > tol_abs:
-            raise EllipticConvergenceError(resid / b_norm, iterations, tol)
-        return w, resid / b_norm, iterations
-
+        return b / delta
     if b.ndim == 1:
         factor = _banded_cholesky(b.shape[0], spacing[0], delta)
-        w = cho_solve_banded((factor, False), b)
-    else:
-        lam = _dct_eigenvalues(b.shape, spacing)
-        coeffs = dctn(b, type=2, norm="ortho")
-        w = idctn(coeffs / (delta + lam), type=2, norm="ortho")
-    resid = _residual_norm(w, b, spacing, delta)
-    return w, resid / b_norm if b_norm > 0.0 else resid, 0
+        return cho_solve_banded((factor, False), b)
+    lam = _dct_eigenvalues(b.shape, spacing)
+    coeffs = dctn(b, type=2, norm="ortho")
+    return idctn(coeffs / (delta + lam), type=2, norm="ortho")
 
 
-def solve_w(
-    source: ScalarField,
-    delta: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-    initial: ScalarField | None = None,
-    method: str = "auto",
-) -> EllipticResult:
-    """Solve (delta*I - Lap) w = source with zero-flux boundaries.
-
-    The returned residual is ||(delta*I - Lap) w - source||_2 relative to
-    ||source||_2, recomputed from the returned solution. With the default
-    method the solve is direct (banded Cholesky in 1D, cosine-transform
-    diagonalization in 2D) and ``initial``/``max_iter`` are ignored; with
-    method="cg" a warm-startable conjugate-gradient iteration is used and
-    :class:`EllipticConvergenceError` is raised if it cannot reach ``tol``
-    within ``max_iter`` (default 10x the cell count).
-    """
-    x0 = initial.values if initial is not None else None
-    w, resid, iterations = solve_w_values(
-        source.values,
-        source.spec.spacing,
-        delta,
-        tol=tol,
-        max_iter=max_iter,
-        initial=x0,
-        method=method,
-    )
-    return EllipticResult(ScalarField(source.spec, w), resid, iterations)
+def relative_residual(
+    w: np.ndarray, source: np.ndarray, spacing: tuple[float, ...], delta: float
+) -> float:
+    """||(delta*I - Lap) w - source||_2 relative to ||source||_2 (absolute when it is zero)."""
+    resid = np.linalg.norm((delta * w - laplacian_values(w, spacing) - source).ravel())
+    src_norm = float(np.linalg.norm(np.asarray(source).ravel()))
+    return float(resid / src_norm) if src_norm > 0.0 else float(resid)

@@ -19,8 +19,6 @@ __all__ = [
     "ScalarField",
     "cell_centers",
     "integrate",
-    "laplacian_neumann",
-    "div_u_grad_phi",
     "grad_sq_integral",
     "lp_norm",
     "sup_norm",
@@ -198,18 +196,6 @@ def div_u_grad_values(
 def integrate(f: ScalarField) -> float:
     """Discrete integral over the domain (midpoint rule: sum times cell volume)."""
     return float(f.values.sum() * f.spec.cell_volume)
-
-
-def laplacian_neumann(f: ScalarField) -> ScalarField:
-    """Zero-flux Laplacian of a field; see :func:`laplacian_values`."""
-    return ScalarField(f.spec, laplacian_values(f.values, f.spec.spacing))
-
-
-def div_u_grad_phi(u: ScalarField, phi: ScalarField, scheme: str = "central") -> ScalarField:
-    """Conservative div(u grad phi) for two fields on the same grid."""
-    if u.spec != phi.spec:
-        raise ValueError("u and phi live on different grids")
-    return ScalarField(u.spec, div_u_grad_values(u.values, phi.values, u.spec.spacing, scheme))
 
 
 def grad_sq_integral(f: ScalarField) -> float:

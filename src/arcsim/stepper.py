@@ -150,7 +150,6 @@ def step(
     dt: float,
     positivity_mode: str = "clip",
     forcing: Forcing | None = None,
-    elliptic_tol: float = elliptic.DEFAULT_TOL,
 ) -> SimState:
     """Advance one explicit step of size dt; see the module docstring for the scheme."""
     spec = state.u.spec
@@ -193,9 +192,7 @@ def step(
     w_source = g_of(u_new, params)
     if forcing is not None and forcing.w_source is not None:
         w_source = w_source + forcing.w_source(cell_centers(spec), t_new)
-    w_new, _, _ = elliptic.solve_w_values(
-        w_source, spacing, params.delta, tol=elliptic_tol, initial=w
-    )
+    w_new = elliptic.solve_w_values(w_source, spacing, params.delta)
 
     return SimState(
         u=ScalarField(spec, u_new),
@@ -212,7 +209,7 @@ def initial_state(config: RunConfig, forcing: Forcing | None = None) -> SimState
     source = g_of(config.u0.values, config.params)
     if forcing is not None and forcing.w_source is not None:
         source = source + forcing.w_source(cell_centers(config.grid), 0.0)
-    w0, _, _ = elliptic.solve_w_values(source, config.grid.spacing, config.params.delta)
+    w0 = elliptic.solve_w_values(source, config.grid.spacing, config.params.delta)
     return SimState(
         u=config.u0.copy(),
         v=config.v0.copy(),
@@ -231,8 +228,8 @@ def run(
 
     Returns (records, final state, termination), where termination is one of
     COMPLETED, BLOWUP_FLAGGED (sup(u) exceeded blowup_factor times its initial
-    value) or BREAKDOWN (non-finite values, step underflow, or an elliptic
-    failure). ``callback(state, record)`` fires at every emitted record.
+    value) or BREAKDOWN (non-finite values or step underflow).
+    ``callback(state, record)`` fires at every emitted record.
     """
     config.validate()
     params = config.params
@@ -252,10 +249,7 @@ def run(
         return g_of(state.u.values, params) + forcing.w_source(cell_centers(config.grid), state.t)
 
     records: list[diagnostics.DiagRecord] = []
-    try:
-        state = initial_state(config, forcing)
-    except elliptic.EllipticConvergenceError:
-        return records, SimState(config.u0, config.v0, config.v0, 0.0, 0), BREAKDOWN
+    state = initial_state(config, forcing)
 
     blow_threshold = config.blowup_factor * float(np.max(config.u0.values))
 
@@ -281,7 +275,7 @@ def run(
                 positivity_mode=config.positivity_mode,
                 forcing=forcing,
             )
-        except (NumericalBreakdownError, elliptic.EllipticConvergenceError):
+        except NumericalBreakdownError:
             termination = BREAKDOWN
             emit(state, records, dt, current_w_source(state))
             break

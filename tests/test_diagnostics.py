@@ -29,8 +29,11 @@ def homogeneous_setup(a=3.0, b=1.0, n=32, **param_overrides):
         t_end=1.0,
         output_interval=0.5,
     )
-    w, _, _ = elliptic.solve_w(ScalarField.full(spec, float(g_of(a, params))), params.delta)
-    state = SimState(ScalarField.full(spec, a), ScalarField.full(spec, b), w, 0.25, 10, 0.0)
+    source = np.full(spec.shape, float(g_of(a, params)))
+    w = elliptic.solve_w_values(source, spec.spacing, params.delta)
+    state = SimState(
+        ScalarField.full(spec, a), ScalarField.full(spec, b), ScalarField(spec, w), 0.25, 10, 0.0
+    )
     return state, config
 
 
@@ -87,7 +90,7 @@ class TestYFunctional:
 class TestRecord:
     def test_homogeneous_values(self):
         state, config = homogeneous_setup(a=3.0, b=1.0)
-        rec = record(state, config)
+        rec = record(state, config, dt_current=1e-4)
         assert rec.mass == pytest.approx(3.0)
         assert rec.sup_u == 3.0
         assert rec.sup_v == 1.0
@@ -97,7 +100,7 @@ class TestRecord:
 
     def test_sup_w_is_scaled_production(self):
         state, config = homogeneous_setup(a=3.0, delta=2.0, gamma=1.5)
-        rec = record(state, config)
+        rec = record(state, config, dt_current=1e-4)
         assert rec.sup_w == pytest.approx(1.5 * 3.0 / 2.0, abs=1e-9)
         assert rec.w_residual <= 1e-10
 
@@ -108,22 +111,16 @@ class TestRecord:
         u0 = ScalarField(spec, 1.0 + 0.3 * np.cos(np.pi * x))
         v0 = ScalarField(spec, 1.0 + 0.1 * np.sin(2 * np.pi * x) ** 2)
         config = RunConfig(spec, params, u0, v0, t_end=1.0, p_diag=2.0)
-        w, _, _ = elliptic.solve_w(ScalarField(spec, np.asarray(g_of(u0.values, params))), params.delta)
-        state = SimState(u0, v0, w, 0.0, 0, 0.0)
+        w = elliptic.solve_w_values(np.asarray(g_of(u0.values, params)), spec.spacing, params.delta)
+        state = SimState(u0, v0, ScalarField(spec, w), 0.0, 0, 0.0)
         rec = record(state, config, dt_current=1e-4)
         independent = y_functional(u0, v0, 2.0, params.chi, params.gamma)
         assert rec.y_p == pytest.approx(independent, rel=1e-14)
         assert rec.lp_u == pytest.approx(integrate(ScalarField(spec, u0.values**2)) ** 0.5)
 
-    def test_dt_current_defaults_to_stable_bound(self):
-        state, config = homogeneous_setup()
-        rec = record(state, config)
-        h = config.grid.spacing[0]
-        assert rec.dt_current == pytest.approx(0.4 * h * h / 2.0)
-
     def test_is_finite(self):
         state, config = homogeneous_setup()
-        assert record(state, config).is_finite()
+        assert record(state, config, dt_current=1e-4).is_finite()
         bad = DiagRecord(0, float("nan"), 0, 0, 0, 0, 0, 0, 0, 0, 0)
         assert not bad.is_finite()
 

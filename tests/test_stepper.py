@@ -28,11 +28,12 @@ def make_params(**overrides):
 
 
 def homogeneous_state(spec, params, a=2.0, b=1.0):
-    w, _, _ = elliptic.solve_w(ScalarField.full(spec, float(g_of(a, params))), params.delta)
+    source = np.full(spec.shape, float(g_of(a, params)))
+    w = elliptic.solve_w_values(source, spec.spacing, params.delta)
     return SimState(
         u=ScalarField.full(spec, a),
         v=ScalarField.full(spec, b),
-        w=w,
+        w=ScalarField(spec, w),
         t=0.0,
         step=0,
     )
