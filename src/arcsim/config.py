@@ -197,6 +197,7 @@ def build_run_config(values: dict) -> tuple[RunConfig, str]:
                 _per_axis(filled[f"initial.{name}.width"], dim, f"initial.{name}.width"),
             )
         t_end = filled["run.t_end"]
+        interval = filled["run.output_interval"]
         config = RunConfig(
             grid=grid,
             params=params,
@@ -204,7 +205,7 @@ def build_run_config(values: dict) -> tuple[RunConfig, str]:
             v0=fields["v0"],
             t_end=t_end,
             dt_safety=filled["run.dt_safety"],
-            output_interval=filled["run.output_interval"] or t_end / 10.0,
+            output_interval=t_end / 10.0 if interval is None else interval,
             positivity_mode=filled["run.positivity_mode"],
             blowup_factor=filled["run.blowup_factor"],
             p_diag=filled["run.p_diag"],

@@ -141,12 +141,11 @@ def _axslice(ndim: int, axis: int, sl: slice) -> tuple:
     return tuple(ix)
 
 
-def _add_flux_divergence(out: np.ndarray, flux: np.ndarray, axis: int, h: float) -> None:
-    """Accumulate the divergence of an interior-face flux; boundary faces carry zero."""
-    nd = out.ndim
-    out[_axslice(nd, axis, slice(0, 1))] += flux[_axslice(nd, axis, slice(0, 1))] / h
-    out[_axslice(nd, axis, slice(1, -1))] += np.diff(flux, axis=axis) / h
-    out[_axslice(nd, axis, slice(-1, None))] -= flux[_axslice(nd, axis, slice(-1, None))] / h
+def _flux_divergence(flux: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Divergence along one axis of an interior-face flux; boundary faces carry zero."""
+    zero = np.zeros(flux.shape[:axis] + (1,) + flux.shape[axis + 1 :])
+    # same values as np.diff(flux, prepend=0.0, append=0.0), without its per-call broadcasts
+    return np.diff(np.concatenate((zero, flux, zero), axis=axis), axis=axis) / h
 
 
 def laplacian_values(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
@@ -158,8 +157,7 @@ def laplacian_values(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarr
     """
     out = np.zeros_like(values)
     for axis, h in enumerate(spacing):
-        grad = np.diff(values, axis=axis) / h
-        _add_flux_divergence(out, grad, axis, h)
+        out += _flux_divergence(np.diff(values, axis=axis) / h, axis, h)
     return out
 
 
@@ -189,7 +187,7 @@ def div_u_grad_values(
             u_face = 0.5 * (lo + hi)
         else:
             u_face = np.where(grad >= 0.0, lo, hi)
-        _add_flux_divergence(out, u_face * grad, axis, h)
+        out += _flux_divergence(u_face * grad, axis, h)
     return out
 
 

@@ -4,15 +4,19 @@ One step advances the cell density u and the attractant v with explicit Euler
 in conservative flux form, then re-solves the repellent w, which is slaved to
 u through its elliptic equation:
 
-    u <- u + dt * [Lap(u) - chi*div(u grad v) + xi*div(u grad w)]
+    u <- u + dt * [Lap(u) - div(u_face grad(chi*v - xi*w))]
     v <- v + dt * [Lap(v) - f(u_old) * v]
     w <- solve of (delta*I - Lap) w = g(u_new)
 
+The taxis terms -chi*div(u grad v) + xi*div(u grad w) form this one drift flux.
+``positivity_mode`` picks only its face value u_face: the mean of the two
+adjacent cells in "clip" mode (second order), the donor cell in "upwind" mode.
+
 The step size obeys both the diffusive limit and an advective CFL limit on
-the drift potential chi*v - xi*w. Negative u or v cells are clipped to zero;
-the clipped u-mass is accumulated (as an absolute magnitude) so that mass
-conservation remains auditable: away from clipping the flux form conserves
-the discrete integral of u to round-off.
+the drift potential. In either mode, negative u or v cells are clipped to
+zero; the clipped u-mass is accumulated (as an absolute magnitude) so that
+mass conservation remains auditable: away from clipping the flux form
+conserves the discrete integral of u to round-off.
 
 Growth of sup(u) beyond blowup_factor times its initial value stops the run
 with a flag. The flag marks a numerically unresolved aggregation, not a
@@ -144,6 +148,16 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
     return dt
 
 
+def _repellent_source(
+    u: np.ndarray, t: float, params: ModelParams, forcing: Forcing | None, spec: GridSpec
+) -> np.ndarray:
+    """Right-hand side g(u) + forcing.w_source of the repellent equation at time t."""
+    source = g_of(u, params)
+    if forcing is not None and forcing.w_source is not None:
+        source = source + forcing.w_source(cell_centers(spec), t)
+    return source
+
+
 def step(
     state: SimState,
     params: ModelParams,
@@ -158,15 +172,9 @@ def step(
     v = state.v.values
     w = state.w.values
 
-    if positivity_mode == "upwind":
-        # upwind donors only make sense for the combined drift potential
-        drift = params.chi * v - params.xi * w
-        taxis = -div_u_grad_values(u, drift, spacing, scheme="upwind")
-    else:
-        taxis = params.xi * div_u_grad_values(u, w, spacing) - params.chi * div_u_grad_values(
-            u, v, spacing
-        )
-    rhs_u = laplacian_values(u, spacing) + taxis
+    drift = params.chi * v - params.xi * w
+    scheme = "upwind" if positivity_mode == "upwind" else "central"
+    rhs_u = laplacian_values(u, spacing) - div_u_grad_values(u, drift, spacing, scheme)
     rhs_v = laplacian_values(v, spacing) - f_of(u, params) * v
     if forcing is not None:
         centers = cell_centers(spec)
@@ -189,9 +197,7 @@ def step(
         raise NumericalBreakdownError(f"non-finite field values at t = {state.t + dt:.6g}")
 
     t_new = state.t + dt
-    w_source = g_of(u_new, params)
-    if forcing is not None and forcing.w_source is not None:
-        w_source = w_source + forcing.w_source(cell_centers(spec), t_new)
+    w_source = _repellent_source(u_new, t_new, params, forcing, spec)
     w_new = elliptic.solve_w_values(w_source, spacing, params.delta)
 
     return SimState(
@@ -206,9 +212,7 @@ def step(
 
 def initial_state(config: RunConfig, forcing: Forcing | None = None) -> SimState:
     """Build the t = 0 state, solving the repellent equation for the initial u."""
-    source = g_of(config.u0.values, config.params)
-    if forcing is not None and forcing.w_source is not None:
-        source = source + forcing.w_source(cell_centers(config.grid), 0.0)
+    source = _repellent_source(config.u0.values, 0.0, config.params, forcing, config.grid)
     w0 = elliptic.solve_w_values(source, config.grid.spacing, config.params.delta)
     return SimState(
         u=config.u0.copy(),
@@ -236,17 +240,12 @@ def run(
     t_end = config.t_end
     eps = 1e-12 * max(1.0, t_end)
 
-    def emit(state, records, dt_current, w_src):
-        rec = diagnostics.record(state, config, dt_current=dt_current, w_source=w_src)
-        if rec.is_finite():
-            records.append(rec)
-            if callback is not None:
-                callback(state, rec)
-
-    def current_w_source(state):
-        if forcing is None or forcing.w_source is None:
-            return None
-        return g_of(state.u.values, params) + forcing.w_source(cell_centers(config.grid), state.t)
+    def emit(state, records, dt_current):
+        w_source = _repellent_source(state.u.values, state.t, params, forcing, config.grid)
+        rec = diagnostics.record(state, config, dt_current=dt_current, w_source=w_source)
+        records.append(rec)
+        if callback is not None:
+            callback(state, rec)
 
     records: list[diagnostics.DiagRecord] = []
     state = initial_state(config, forcing)
@@ -257,7 +256,7 @@ def run(
         dt = stable_dt(state, params, config.dt_safety)
     except NumericalBreakdownError:
         return records, state, BREAKDOWN
-    emit(state, records, dt, current_w_source(state))
+    emit(state, records, dt)
 
     k_out = 1
     next_out = min(k_out * config.output_interval, t_end)
@@ -277,16 +276,16 @@ def run(
             )
         except NumericalBreakdownError:
             termination = BREAKDOWN
-            emit(state, records, dt, current_w_source(state))
+            emit(state, records, dt)
             break
 
         if float(np.max(state.u.values)) > blow_threshold:
             termination = BLOWUP_FLAGGED
-            emit(state, records, dt, current_w_source(state))
+            emit(state, records, dt)
             break
 
         if lands:
-            emit(state, records, dt, current_w_source(state))
+            emit(state, records, dt)
             k_out += 1
             next_out = min(k_out * config.output_interval, t_end)
 

@@ -93,6 +93,11 @@ class TestBuild:
         config, _ = build_run_config(parse_config(text))
         assert config.output_interval == pytest.approx(0.05)
 
+    def test_zero_output_interval_rejected(self):
+        text = GOOD.replace("run.output_interval = 0.1", "run.output_interval = 0")
+        with pytest.raises(ConfigError, match="output_interval"):
+            build_run_config(parse_config(text))
+
     def test_2d_build_broadcasts(self):
         text = """
 grid.dim = 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcsim.grid import (
     GridSpec,
@@ -147,6 +149,28 @@ class TestDivUGradPhi:
         out = ScalarField(spec, div)
         scale = integrate(ScalarField(spec, np.abs(out.values))) + 1e-300
         assert abs(integrate(out)) / scale <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_cells=st.lists(st.integers(3, 40), min_size=1, max_size=2),
+        lengths=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+        chi=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        xi=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_central_is_linear_in_phi(self, n_cells, lengths, chi, xi, seed):
+        # the stepper's single drift flux equals the two cross-diffusion terms;
+        # coefficients stop short of subnormals, where round-off is not relative
+        spec = GridSpec(len(n_cells), tuple(n_cells), tuple(lengths[: len(n_cells)]))
+        rng = np.random.default_rng(seed)
+        u = 5.0 * rng.random(spec.shape)
+        v = rng.uniform(-3.0, 3.0, spec.shape)
+        w = rng.uniform(-3.0, 3.0, spec.shape)
+        attract = chi * div_u_grad_values(u, v, spec.spacing)
+        repel = xi * div_u_grad_values(u, w, spec.spacing)
+        drift = div_u_grad_values(u, chi * v - xi * w, spec.spacing)
+        bound = 1e-14 * (np.max(np.abs(attract)) + np.max(np.abs(repel)))
+        assert np.max(np.abs(drift - (attract - repel))) <= bound
 
     def test_unknown_scheme_raises(self):
         spec = GridSpec.interval(8)

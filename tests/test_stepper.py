@@ -292,6 +292,23 @@ class TestRun:
         m0 = records[0].mass
         assert abs(records[-1].mass - m0 - final.clipped_mass) <= 1e-12 * m0
 
+    def test_nonfinite_records_are_kept(self):
+        # lp_u and y_p overflow on u0 = 1e200; every record must still reach the caller
+        spec = GridSpec.interval(8)
+        config = RunConfig(
+            grid=spec,
+            params=make_params(),
+            u0=ScalarField.full(spec, 1e200),
+            v0=ScalarField.full(spec, 1.0),
+            t_end=1e-3,
+            output_interval=2.5e-4,
+        )
+        with np.errstate(over="ignore"):
+            records, _, termination = run(config)
+        assert termination == COMPLETED
+        assert len(records) == 5
+        assert all(r.y_p == math.inf for r in records)
+
     def test_records_deterministic(self):
         config = bump_config(n=32, t_end=0.05)
         first = run(config)[0]
