@@ -14,6 +14,7 @@ from .grid import (
     GridSpec,
     ScalarField,
     div_u_grad_values,
+    drift_diffusion_values,
     grad_sq_integral,
     integrate,
     laplacian_values,
@@ -44,6 +45,7 @@ __all__ = [
     "integrate",
     "laplacian_values",
     "div_u_grad_values",
+    "drift_diffusion_values",
     "grad_sq_integral",
     "lp_norm",
     "sup_norm",

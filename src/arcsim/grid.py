@@ -10,7 +10,7 @@ cross-diffusion divergence both integrate to zero up to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class GridSpec:
         if any(v <= 0.0 for v in self.length):
             raise ValueError(f"length entries must be positive, got {self.length}")
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.length, self.n_cells))
 
@@ -64,7 +64,7 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return self.n_cells
 
-    @property
+    @cached_property
     def total_cells(self) -> int:
         out = 1
         for n in self.n_cells:
@@ -141,11 +141,99 @@ def _axslice(ndim: int, axis: int, sl: slice) -> tuple:
     return tuple(ix)
 
 
-def _flux_divergence(flux: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Divergence along one axis of an interior-face flux; boundary faces carry zero."""
-    zero = np.zeros(flux.shape[:axis] + (1,) + flux.shape[axis + 1 :])
-    # same values as np.diff(flux, prepend=0.0, append=0.0), without its per-call broadcasts
-    return np.diff(np.concatenate((zero, flux, zero), axis=axis), axis=axis) / h
+@dataclass(frozen=True)
+class AxisOperators:
+    """One axis on the flattened (C-order) cell array, where its neighbours are
+    a stride s apart: ``lo``/``hi`` pick the cells on either side of each
+    interior face. The axis's faces form an array of ``n_faces`` = cells + s
+    entries; ``interior`` picks the interior faces (the first and last s are
+    the zero-flux boundary), and ``lo``/``hi`` also pick the two faces of each
+    cell. On the last axis of a 2D grid, ``wrap`` picks the interior entries
+    that would join one row's last cell to the next row's first; they carry zero.
+    """
+
+    lo: slice
+    hi: slice
+    interior: slice
+    wrap: slice | None
+    n_faces: int
+    inv_h2: float
+
+
+@dataclass(frozen=True)
+class FaceOperators:
+    """Per-axis face tables of one grid plus its diffusive step bound 1/(2*sum(1/h^2))."""
+
+    axes: tuple[AxisOperators, ...]
+    diffusive_bound: float
+
+
+@lru_cache(maxsize=64)
+def face_operators(shape: tuple[int, ...], spacing: tuple[float, ...]) -> FaceOperators:
+    """Face tables for fields of ``shape`` on ``spacing``; cached and immutable."""
+    size = int(np.prod(shape))
+    row = shape[-1]
+    axes = []
+    for axis, h in enumerate(spacing):
+        s = int(np.prod(shape[axis + 1 :]))
+        wrap = slice(row, size, row) if s == 1 and size > row else None
+        lo, hi, interior = slice(None, -s), slice(s, None), slice(s, -s)
+        axes.append(AxisOperators(lo, hi, interior, wrap, size + s, 1.0 / (h * h)))
+    return FaceOperators(tuple(axes), 0.5 / sum(ax.inv_h2 for ax in axes))
+
+
+def _faces(face_flux, ax: AxisOperators) -> np.ndarray:
+    """Face array of one axis: ``face_flux(ax, out)`` fills its interior, the rest is zero."""
+    faces = np.zeros(ax.n_faces)
+    face_flux(ax, faces[ax.interior])
+    if ax.wrap is not None:
+        faces[ax.wrap] = 0.0
+    return faces
+
+
+def _differences(flat: np.ndarray):
+    """Face flux of a flattened field: its difference across each interior face."""
+
+    def flux(ax, out):
+        np.subtract(flat[ax.hi], flat[ax.lo], out=out)
+
+    return flux
+
+
+def _flux_divergence(face_flux, shape: tuple[int, ...], spacing: tuple[float, ...]) -> np.ndarray:
+    """Sum over axes of the divergence of an interior-face flux; boundary faces carry zero.
+
+    ``face_flux(ax, out)`` writes h times the flux across the interior faces
+    of axis ``ax`` into ``out``, so one 1/h^2 scales each axis's divergence.
+    """
+    total = None
+    for ax in face_operators(shape, spacing).axes:
+        faces = _faces(face_flux, ax)
+        div = faces[ax.hi] - faces[ax.lo]
+        div *= ax.inv_h2
+        if total is None:
+            total = div
+        else:
+            total += div
+    return total.reshape(shape)
+
+
+def face_difference_peaks(values: np.ndarray, spacing: tuple[float, ...]) -> list[float]:
+    """Largest |difference| of ``values`` across an interior face, per axis."""
+    differences = _differences(values.ravel())
+    axes = face_operators(values.shape, spacing).axes
+    return [float(np.abs(_faces(differences, ax)).max()) for ax in axes]
+
+
+def _u_face(lo: np.ndarray, hi: np.ndarray, dphi: np.ndarray, scheme: str) -> np.ndarray:
+    """Face value of u: the cell mean ("central") or the donor cell of velocity +grad(phi)."""
+    if scheme == "central":
+        face = lo + hi
+        face *= 0.5
+        return face
+    if scheme == "upwind":
+        return np.where(dphi >= 0.0, lo, hi)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def laplacian_values(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
@@ -155,10 +243,7 @@ def laplacian_values(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarr
     which is identical to the classical stencil in the interior and telescopes
     to zero total flux.
     """
-    out = np.zeros_like(values)
-    for axis, h in enumerate(spacing):
-        out += _flux_divergence(np.diff(values, axis=axis) / h, axis, h)
-    return out
+    return _flux_divergence(_differences(values.ravel()), values.shape, spacing)
 
 
 def div_u_grad_values(
@@ -175,20 +260,40 @@ def div_u_grad_values(
     cell for transport with velocity +grad(phi), trading accuracy for
     positivity near steep fronts.
     """
-    if scheme not in ("central", "upwind"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    out = np.zeros_like(u)
-    nd = u.ndim
-    for axis, h in enumerate(spacing):
-        grad = np.diff(phi, axis=axis) / h
-        lo = u[_axslice(nd, axis, slice(None, -1))]
-        hi = u[_axslice(nd, axis, slice(1, None))]
-        if scheme == "central":
-            u_face = 0.5 * (lo + hi)
-        else:
-            u_face = np.where(grad >= 0.0, lo, hi)
-        out += _flux_divergence(u_face * grad, axis, h)
-    return out
+    u_flat = u.ravel()
+    phi_flat = phi.ravel()
+
+    def flux(ax, out):
+        dphi = phi_flat[ax.hi] - phi_flat[ax.lo]
+        np.multiply(_u_face(u_flat[ax.lo], u_flat[ax.hi], dphi, scheme), dphi, out=out)
+
+    return _flux_divergence(flux, u.shape, spacing)
+
+
+def drift_diffusion_values(
+    u: np.ndarray,
+    phi: np.ndarray,
+    spacing: tuple[float, ...],
+    scheme: str = "central",
+) -> np.ndarray:
+    """Lap(u) - div(u_face grad(phi)) from the one face flux grad(u) - u_face grad(phi).
+
+    Equals ``laplacian_values(u) - div_u_grad_values(u, phi, scheme)`` up to
+    round-off, in one pass per axis; ``scheme`` picks u_face as there.
+    """
+    u_flat = u.ravel()
+    phi_flat = phi.ravel()
+
+    def flux(ax, out):
+        lo = u_flat[ax.lo]
+        hi = u_flat[ax.hi]
+        dphi = phi_flat[ax.hi] - phi_flat[ax.lo]
+        drift = _u_face(lo, hi, dphi, scheme)
+        drift *= dphi
+        np.subtract(hi, lo, out=out)
+        out -= drift
+
+    return _flux_divergence(flux, u.shape, spacing)
 
 
 def integrate(f: ScalarField) -> float:

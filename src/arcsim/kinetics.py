@@ -51,7 +51,7 @@ class ModelParams:
 def f_of(s, params: ModelParams):
     """Consumption rate K*s**alpha; accepts scalars or arrays, s >= 0."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
+    if (s < 0.0).any():
         raise ValueError("consumption rate is defined for s >= 0 only")
     return params.K * s**params.alpha
 
@@ -59,8 +59,10 @@ def f_of(s, params: ModelParams):
 def g_of(s, params: ModelParams):
     """Production rate gamma*s*(s+1)**(l-1); exactly gamma*s when l = 1."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
+    if (s < 0.0).any():
         raise ValueError("production rate is defined for s >= 0 only")
+    if params.l == 1.0:
+        return params.gamma * s  # bitwise gamma*s*(s+1)**0.0, without the pow
     return params.gamma * s * (s + 1.0) ** (params.l - 1.0)
 
 

@@ -8,9 +8,12 @@ u through its elliptic equation:
     v <- v + dt * [Lap(v) - f(u_old) * v]
     w <- solve of (delta*I - Lap) w = g(u_new)
 
-The taxis terms -chi*div(u grad v) + xi*div(u grad w) form this one drift flux.
-``positivity_mode`` picks only its face value u_face: the mean of the two
-adjacent cells in "clip" mode (second order), the donor cell in "upwind" mode.
+The taxis terms -chi*div(u grad v) + xi*div(u grad w) form this one drift flux,
+and the u bracket is the divergence of the single face flux
+grad(u) - u_face grad(chi*v - xi*w). ``positivity_mode`` picks only its face
+value u_face: the mean of the two adjacent cells in "clip" mode (second
+order), the donor cell in "upwind" mode. A non-finite u, v or g(u) stops the
+step before the elliptic solve.
 
 The step size obeys both the diffusive limit and an advective CFL limit on
 the drift potential. In either mode, negative u or v cells are clipped to
@@ -31,7 +34,16 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics, elliptic
-from .grid import GridSpec, ScalarField, cell_centers, div_u_grad_values, laplacian_values
+from .grid import (  # noqa: F401  (div_u_grad_values: a binding perfbench traces)
+    GridSpec,
+    ScalarField,
+    cell_centers,
+    div_u_grad_values,
+    drift_diffusion_values,
+    face_difference_peaks,
+    face_operators,
+    laplacian_values,
+)
 from .kinetics import ModelParams, f_of, g_of
 
 __all__ = [
@@ -56,7 +68,11 @@ POSITIVITY_MODES = ("clip", "upwind")
 
 
 class NumericalBreakdownError(RuntimeError):
-    """Non-finite field values or a vanishing stable step size."""
+    """Non-finite values or a vanishing stable step size; ``dt`` is the step size involved."""
+
+    def __init__(self, message: str, dt: float):
+        super().__init__(message)
+        self.dt = dt
 
 
 @dataclass
@@ -113,6 +129,10 @@ class RunConfig:
             raise ValueError("u0 must not be identically zero")
         if not (self.u0.is_finite() and self.v0.is_finite()):
             raise ValueError("initial data must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            production = g_of(self.u0.values, self.params)
+        if not np.isfinite(production).all():
+            raise ValueError("production rate g(u0) of the initial data must be finite")
         if self.t_end <= 0.0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if not 0.0 < self.dt_safety <= 1.0:
@@ -135,16 +155,16 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
     axis (infinite when the drift is flat).
     """
     spacing = state.u.spec.spacing
-    diff_bound = 0.5 / sum(1.0 / (h * h) for h in spacing)
     drift = params.chi * state.v.values - params.xi * state.w.values
     adv_bound = np.inf
-    for axis, h in enumerate(spacing):
-        peak = float(np.max(np.abs(np.diff(drift, axis=axis)))) / h
+    for h, peak in zip(spacing, face_difference_peaks(drift, spacing)):
+        peak /= h
         if peak > 0.0:
             adv_bound = min(adv_bound, h / peak)
+    diff_bound = face_operators(drift.shape, spacing).diffusive_bound
     dt = dt_safety * min(diff_bound, adv_bound)
     if dt < DT_UNDERFLOW:
-        raise NumericalBreakdownError(f"stable step size underflow: dt = {dt:.3e}")
+        raise NumericalBreakdownError(f"stable step size underflow: dt = {dt:.3e}", dt)
     return dt
 
 
@@ -174,30 +194,38 @@ def step(
 
     drift = params.chi * v - params.xi * w
     scheme = "upwind" if positivity_mode == "upwind" else "central"
-    rhs_u = laplacian_values(u, spacing) - div_u_grad_values(u, drift, spacing, scheme)
-    rhs_v = laplacian_values(v, spacing) - f_of(u, params) * v
+    u_new = drift_diffusion_values(u, drift, spacing, scheme)
+    v_new = laplacian_values(v, spacing)
+    consumption = f_of(u, params)
+    consumption *= v
+    v_new -= consumption
     if forcing is not None:
         centers = cell_centers(spec)
         if forcing.u is not None:
-            rhs_u = rhs_u + forcing.u(centers, state.t)
+            u_new += forcing.u(centers, state.t)
         if forcing.v is not None:
-            rhs_v = rhs_v + forcing.v(centers, state.t)
+            v_new += forcing.v(centers, state.t)
 
-    u_new = u + dt * rhs_u
-    v_new = v + dt * rhs_v
+    # the right-hand sides become the updated fields in place
+    u_new *= dt
+    u_new += u
+    v_new *= dt
+    v_new += v
 
     clipped = state.clipped_mass
-    if np.any(u_new < 0.0):
+    if u_new.min() < 0.0:
         clipped += float(-u_new[u_new < 0.0].sum()) * spec.cell_volume
         np.maximum(u_new, 0.0, out=u_new)
-    if np.any(v_new < 0.0):
+    if v_new.min() < 0.0:
         np.maximum(v_new, 0.0, out=v_new)
-
-    if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-        raise NumericalBreakdownError(f"non-finite field values at t = {state.t + dt:.6g}")
 
     t_new = state.t + dt
     w_source = _repellent_source(u_new, t_new, params, forcing, spec)
+    # g(u) is inf or NaN wherever u is, so a finite source also certifies u
+    if not (np.isfinite(v_new).all() and np.isfinite(w_source).all()):
+        raise NumericalBreakdownError(
+            f"non-finite u, v or repellent source g(u) at t = {t_new:.6g}", dt
+        )
     w_new = elliptic.solve_w_values(w_source, spacing, params.delta)
 
     return SimState(
@@ -232,7 +260,8 @@ def run(
 
     Returns (records, final state, termination), where termination is one of
     COMPLETED, BLOWUP_FLAGGED (sup(u) exceeded blowup_factor times its initial
-    value) or BREAKDOWN (non-finite values or step underflow).
+    value) or BREAKDOWN (non-finite values or step underflow; the last record
+    then carries the step size that failed as its ``dt_current``).
     ``callback(state, record)`` fires at every emitted record.
     """
     config.validate()
@@ -254,7 +283,8 @@ def run(
 
     try:
         dt = stable_dt(state, params, config.dt_safety)
-    except NumericalBreakdownError:
+    except NumericalBreakdownError as exc:
+        emit(state, records, exc.dt)
         return records, state, BREAKDOWN
     emit(state, records, dt)
 
@@ -263,7 +293,8 @@ def run(
     termination = COMPLETED
     while t_end - state.t > eps:
         try:
-            dt = stable_dt(state, params, config.dt_safety)
+            if state.step > 0:  # the first step takes the bound computed above
+                dt = stable_dt(state, params, config.dt_safety)
             lands = state.t + dt >= next_out - eps
             if lands:
                 dt = next_out - state.t
@@ -274,12 +305,12 @@ def run(
                 positivity_mode=config.positivity_mode,
                 forcing=forcing,
             )
-        except NumericalBreakdownError:
+        except NumericalBreakdownError as exc:
             termination = BREAKDOWN
-            emit(state, records, dt)
+            emit(state, records, exc.dt)
             break
 
-        if float(np.max(state.u.values)) > blow_threshold:
+        if float(state.u.values.max()) > blow_threshold:
             termination = BLOWUP_FLAGGED
             emit(state, records, dt)
             break

@@ -10,6 +10,8 @@ from arcsim.grid import (
     ScalarField,
     cell_centers,
     div_u_grad_values,
+    drift_diffusion_values,
+    face_difference_peaks,
     grad_sq_integral,
     integrate,
     laplacian_values,
@@ -176,6 +178,48 @@ class TestDivUGradPhi:
         spec = GridSpec.interval(8)
         with pytest.raises(ValueError):
             div_u_grad_values(np.ones(spec.shape), np.ones(spec.shape), spec.spacing, scheme="qick")
+
+
+grids = st.builds(
+    lambda n_cells, lengths: GridSpec(len(n_cells), tuple(n_cells), tuple(lengths[: len(n_cells)])),
+    st.lists(st.integers(3, 40), min_size=1, max_size=2),
+    st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+)
+
+
+class TestDriftDiffusion:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=grids, scheme=st.sampled_from(["central", "upwind"]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_laplacian_minus_drift(self, spec, scheme, seed):
+        # the stepper's one u flux grad(u) - u_face grad(phi) against the two operators
+        rng = np.random.default_rng(seed)
+        u = 5.0 * rng.random(spec.shape)
+        phi = rng.uniform(-3.0, 3.0, spec.shape)
+        lap = laplacian_values(u, spec.spacing)
+        div = div_u_grad_values(u, phi, spec.spacing, scheme)
+        fused = drift_diffusion_values(u, phi, spec.spacing, scheme)
+        bound = 1e-14 * (np.max(np.abs(lap)) + np.max(np.abs(div)))
+        assert np.max(np.abs(fused - (lap - div))) <= bound
+
+    def test_unknown_scheme_raises(self):
+        spec = GridSpec.interval(8)
+        with pytest.raises(ValueError):
+            drift_diffusion_values(np.ones(spec.shape), np.ones(spec.shape), spec.spacing, "qick")
+
+
+class TestFaceDifferencePeaks:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=grids, seed=st.integers(0, 2**32 - 1))
+    def test_matches_axis_differences(self, spec, seed):
+        values = np.random.default_rng(seed).uniform(-3.0, 3.0, spec.shape)
+        expected = [float(np.max(np.abs(np.diff(values, axis=axis)))) for axis in range(spec.dim)]
+        assert face_difference_peaks(values, spec.spacing) == expected
+
+    def test_row_ends_are_not_neighbours(self):
+        # along the last axis of a 2D grid, the last cell of a row and the first
+        # of the next share no face
+        values = np.repeat([[0.0], [10.0], [20.0]], 4, axis=1)
+        assert face_difference_peaks(values, (1.0, 1.0)) == [10.0, 0.0]
 
 
 class TestGradSqIntegral:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from arcsim import theory
 from arcsim.kinetics import ModelParams, f_of, g_of, validate_hypotheses
@@ -51,6 +54,18 @@ class TestRates:
         params = make_params(gamma=1.3, l=1.0)
         s = np.linspace(0.0, 10.0, 101)
         assert np.array_equal(g_of(s, params), 1.3 * s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=arrays(np.float64, st.integers(1, 50), elements=st.floats(0.0, 1e308)),
+        gamma=st.floats(1e-6, 1e6),
+    )
+    def test_linear_production_is_the_general_law_bitwise(self, s, gamma):
+        params = make_params(gamma=gamma, l=1.0)
+        with np.errstate(over="ignore"):
+            expected = gamma * s * (s + 1.0) ** 0.0
+            got = g_of(s, params)
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("l", [1.0, 1.5, 2.0, 3.0])
     def test_production_envelope(self, l):

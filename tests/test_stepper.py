@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from arcsim import elliptic
+from arcsim import elliptic, grid, stepper
 from arcsim.grid import GridSpec, ScalarField, cell_centers, integrate
 from arcsim.kinetics import ModelParams, f_of, g_of
 from arcsim.stepper import (
     BLOWUP_FLAGGED,
     BREAKDOWN,
     COMPLETED,
+    DT_UNDERFLOW,
     NumericalBreakdownError,
     RunConfig,
     SimState,
@@ -174,6 +175,59 @@ class TestStep:
         with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError):
             step(state, params, 1e308)  # overflows the boundary cells to inf
 
+    @pytest.mark.parametrize("spec", [GridSpec.interval(8), GridSpec.rectangle((6, 5))])
+    def test_nonfinite_repellent_source_raises(self, spec):
+        # u itself is finite, but g(u) = u*(u+1) overflows: the solve must not see it
+        params = make_params(l=2.0)
+        state = SimState(
+            u=ScalarField.full(spec, 1e160),
+            v=ScalarField.full(spec, 1.0),
+            w=ScalarField.full(spec, 0.0),
+            t=0.0,
+            step=0,
+        )
+        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError, match="repellent"):
+            step(state, params, 1e-6)
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            (GridSpec.interval(24, 1.0), GridSpec.interval(24, 2.0)),
+            (GridSpec.rectangle((10, 8)), GridSpec.rectangle((10, 8), (1.0, 3.0))),
+        ],
+    )
+    def test_cached_operators_are_per_grid_and_delta(self, specs):
+        # equal shapes, different spacings and deltas: interleaved steps must
+        # give bitwise the states each case gives when it runs alone
+        cases = [(spec, make_params(delta=delta)) for spec in specs for delta in (1.0, 2.5)]
+
+        def start(spec, params):
+            centers = cell_centers(spec)
+            u0 = ScalarField(spec, 1.0 + 0.25 * sum(np.cos(np.pi * x) for x in centers))
+            v0 = ScalarField(spec, 1.0 + 0.3 * sum(centers))
+            return stepper.initial_state(RunConfig(spec, params, u0, v0, t_end=1.0))
+
+        def clear_caches():
+            grid.face_operators.cache_clear()
+            elliptic._solver.cache_clear()
+
+        alone = []
+        for spec, params in cases:
+            clear_caches()
+            state = start(spec, params)
+            for _ in range(5):
+                state = step(state, params, 1e-4)
+            alone.append(state)
+
+        clear_caches()
+        states = [start(spec, params) for spec, params in cases]
+        for _ in range(5):
+            states = [step(s, params, 1e-4) for s, (_, params) in zip(states, cases)]
+
+        for a, b in zip(alone, states):
+            for name in ("u", "v", "w"):
+                assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+
 
 class TestRun:
     def test_homogeneous_run_completes_and_conserves(self):
@@ -282,8 +336,38 @@ class TestRun:
             t_end=0.1,
             output_interval=0.05,
         )
-        _, _, termination = run(config)
+        records, final, termination = run(config)
         assert termination == BREAKDOWN
+        # the state the first step size underflowed on is recorded, with that size
+        assert len(records) == 1
+        assert records[0].t == 0.0 and final.t == 0.0
+        assert 0.0 < records[0].dt_current < DT_UNDERFLOW
+
+    def test_one_stable_dt_per_step(self, monkeypatch):
+        calls = []
+        original = stepper.stable_dt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "stable_dt", counting)
+        _, final, termination = run(bump_config(n=32, t_end=0.01))
+        assert termination == COMPLETED
+        assert len(calls) == final.step
+
+    @pytest.mark.parametrize("spec", [GridSpec.interval(8), GridSpec.rectangle((6, 5))])
+    def test_overflowing_production_rejected(self, spec):
+        # g(u0) = u0*(u0+1) overflows although u0 is finite
+        config = RunConfig(
+            grid=spec,
+            params=make_params(l=2.0),
+            u0=ScalarField.full(spec, 1e200),
+            v0=ScalarField.full(spec, 1.0),
+            t_end=1e-3,
+        )
+        with pytest.raises(ValueError, match="production rate"):
+            run(config)
 
     def test_upwind_mode_also_conserves(self):
         config = bump_config(n=48, t_end=0.1, positivity_mode="upwind", params=make_params(chi=2.0))
