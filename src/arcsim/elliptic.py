@@ -76,9 +76,9 @@ def solve_w_values(source: np.ndarray, spacing: tuple[float, ...], delta: float)
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     b = np.asarray(source, dtype=float)
-    if b.min() == b.max():
-        # constant source: w = b/delta solves the discrete system exactly
-        # (the stencil annihilates constants), so keep it bitwise flat
+    if b.flat[0] == b.flat[-1] and b.min() == b.max():
+        # constant source (end values screen out most others before two reductions):
+        # w = b/delta, exact and bitwise flat, as the stencil annihilates constants
         return b / delta
     return _solver(b.shape, spacing, delta)(b)
 

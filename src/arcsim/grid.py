@@ -135,12 +135,6 @@ class ScalarField:
         return cls(spec, np.asarray(fn(*cell_centers(spec)), dtype=float))
 
 
-def _axslice(ndim: int, axis: int, sl: slice) -> tuple:
-    ix = [slice(None)] * ndim
-    ix[axis] = sl
-    return tuple(ix)
-
-
 @dataclass(frozen=True)
 class AxisOperators:
     """One axis on the flattened (C-order) cell array, where its neighbours are
@@ -329,34 +323,36 @@ def sup_norm(f: ScalarField) -> float:
 # --- plain-text snapshot format -------------------------------------------
 #
 # header lines: dim, n_cells, length, time; then the values row-major,
-# whitespace separated, full double precision.
+# six to a line (the last line may be shorter), full double precision.
 
 _VALUES_PER_LINE = 6
 
 
 def save_snapshot(f: ScalarField, time: float, path) -> None:
     spec = f.spec
+    values = tuple(f.values.ravel().tolist())
+    rows, rest = divmod(len(values), _VALUES_PER_LINE)
+    body = (" ".join(["%.17g"] * _VALUES_PER_LINE) + "\n") * rows
+    body += " ".join(["%.17g"] * rest) + "\n" if rest else ""
     with open(path, "w") as fh:
         fh.write(f"dim {spec.dim}\n")
         fh.write("n_cells " + " ".join(str(n) for n in spec.n_cells) + "\n")
         fh.write("length " + " ".join(f"{L:.17g}" for L in spec.length) + "\n")
         fh.write(f"time {time:.17g}\n")
-        flat = f.values.ravel()
-        for start in range(0, flat.size, _VALUES_PER_LINE):
-            chunk = flat[start : start + _VALUES_PER_LINE]
-            fh.write(" ".join(f"{x:.17g}" for x in chunk) + "\n")
+        fh.write(body % values)
 
 
 def load_snapshot(path) -> tuple[ScalarField, float]:
+    """Read a snapshot; a missing header line or a wrong value count raises ValueError."""
     with open(path) as fh:
         header = {}
-        for _ in range(4):
-            name, _, rest = fh.readline().partition(" ")
-            header[name.strip()] = rest.strip()
-        dim = int(header["dim"])
-        n_cells = tuple(int(v) for v in header["n_cells"].split())
-        length = tuple(float(v) for v in header["length"].split())
-        time = float(header["time"])
+        for name in ("dim", "n_cells", "length", "time"):
+            key, _, rest = fh.readline().partition(" ")
+            if key.strip() != name:
+                raise ValueError(f"snapshot {path}: missing header line {name!r}")
+            header[name] = rest
         values = np.array(fh.read().split(), dtype=float)
-    spec = GridSpec(dim, n_cells, length)
-    return ScalarField(spec, values), time
+    spec = GridSpec(int(header["dim"]), header["n_cells"].split(), header["length"].split())
+    if values.size != spec.total_cells:
+        raise ValueError(f"snapshot {path}: {values.size} values, {spec.total_cells} cells")
+    return ScalarField(spec, values), float(header["time"])

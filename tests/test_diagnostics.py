@@ -2,8 +2,12 @@
 
 import csv
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arcsim import diagnostics, elliptic
 from arcsim.diagnostics import DiagRecord, default_p_diag, record, y_functional, write_csv
@@ -43,6 +47,37 @@ class TestDefaultP:
         assert default_p_diag(3) == 2.0
         assert default_p_diag(4) == 2.5
         assert default_p_diag(6) == 3.5
+
+
+def padded_grad_sq(values, spacing):
+    """|grad f|^2 from central differences on an edge-padded array (the reference)."""
+    total = np.zeros_like(values)
+    nd = values.ndim
+    for axis, h in enumerate(spacing):
+        padded = np.pad(values, [(1, 1) if ax == axis else (0, 0) for ax in range(nd)], mode="edge")
+        hi = padded[(slice(None),) * axis + (slice(2, None),)]
+        lo = padded[(slice(None),) * axis + (slice(None, -2),)]
+        g = (hi - lo) / (2.0 * h)
+        total += g * g
+    return total
+
+
+class TestCellGradSq:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(3, 200)), st.tuples(st.integers(3, 40), st.integers(3, 40))
+        ),
+        lengths=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+        scale=st.floats(1e-300, 1e300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_edge_padding(self, shape, lengths, scale, seed):
+        spacing = tuple(L / n for L, n in zip(lengths, shape))
+        values = scale * np.random.default_rng(seed).standard_normal(shape)
+        with np.errstate(over="ignore"):
+            got = diagnostics._cell_grad_sq(values, spacing)
+            assert np.array_equal(got, padded_grad_sq(values, spacing))
 
 
 class TestYFunctional:
@@ -125,6 +160,15 @@ class TestRecord:
         assert not bad.is_finite()
 
 
+def reference_csv(records, metadata):
+    """The CSV text written one f-string per value."""
+    lines = [f"# {key} = {value}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(diagnostics._FIELDS))
+    for rec in records:
+        lines.append(",".join(f"{v:.17g}" for v in dataclasses.astuple(rec)))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsv:
     def test_format_and_precision(self, tmp_path):
         state, config = homogeneous_setup()
@@ -142,3 +186,26 @@ class TestCsv:
         assert len(rows) == 1
         assert float(rows[0]["mass"]) == recs[0].mass  # 17 digits round-trip exactly
         assert float(rows[0]["y_p"]) == recs[0].y_p
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(), min_size=len(diagnostics._FIELDS), max_size=len(diagnostics._FIELDS)),
+            max_size=5,
+        )
+    )
+    def test_bytes_match_per_value_writer(self, rows, tmp_path):
+        recs = [DiagRecord(*row) for row in rows]
+        path = tmp_path / "diag.csv"
+        write_csv(recs, path, metadata={"run.t_end": 1.0})
+        assert path.read_text() == reference_csv(recs, {"run.t_end": 1.0})
+
+    def test_nonfinite_record_kept(self, tmp_path):
+        state, config = homogeneous_setup()
+        rec = dataclasses.replace(record(state, config, dt_current=1e-4), y_p=float("inf"))
+        path = tmp_path / "diag.csv"
+        write_csv([rec], path)
+        text = path.read_text()
+        assert text == reference_csv([rec], None)
+        assert text.splitlines()[1].split(",")[diagnostics._FIELDS.index("y_p")] == "inf"
+

@@ -41,6 +41,12 @@ class TestConstantSolution:
         assert np.all(w.values == c)
         assert residual(w, source, delta) <= 1e-14
 
+    @pytest.mark.parametrize("spec", [GridSpec.interval(32), GridSpec.rectangle((8, 6))])
+    def test_constant_source_is_b_over_delta_bitwise(self, spec):
+        b = np.full(spec.shape, 0.1)
+        w = elliptic.solve_w_values(b, spec.spacing, 0.3)
+        assert np.array_equal(w, b / 0.3)
+
     def test_constant_source_2d(self):
         spec = GridSpec.rectangle((8, 8))
         w = solve(ScalarField.full(spec, 2.0), 0.5)
@@ -128,6 +134,17 @@ class TestDenseOracle:
         source = random_source(spec, spec.total_cells, -1.0, 1.0)
         w = solve(source, delta)
         exact = np.linalg.solve(dense_operator(spec, delta), source.values.ravel())
+        err = np.max(np.abs(w.values.ravel() - exact)) / np.max(np.abs(exact))
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec", [GridSpec.interval(3), GridSpec.interval(64, 2.0), GridSpec.rectangle((16, 24), (1.0, 2.0))]
+    )
+    def test_equal_end_values_still_solved(self, spec):
+        source = random_source(spec, 7, -1.0, 1.0)
+        source.values.flat[-1] = source.values.flat[0]
+        w = solve(source, 1.0)
+        exact = np.linalg.solve(dense_operator(spec, 1.0), source.values.ravel())
         err = np.max(np.abs(w.values.ravel() - exact)) / np.max(np.abs(exact))
         assert err <= 1e-12
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arcsim.grid import (
@@ -286,7 +286,97 @@ class TestDeterminism:
         assert np.array_equal(lap, laplacian_values(u.values, spec.spacing))
 
 
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+SNAPSHOT_GRIDS = [GridSpec.interval(n) for n in (3, 6, 12, 17, 200)] + [
+    GridSpec.rectangle(shape) for shape in ((6, 4), (5, 9), (64, 64))
+]
+
+
+def reference_snapshot(f, time):
+    """The snapshot text written one f-string per value, six values to a line."""
+    spec = f.spec
+    lines = [
+        f"dim {spec.dim}",
+        "n_cells " + " ".join(str(n) for n in spec.n_cells),
+        "length " + " ".join(f"{L:.17g}" for L in spec.length),
+        f"time {time:.17g}",
+    ]
+    flat = f.values.ravel()
+    for start in range(0, flat.size, 6):
+        lines.append(" ".join(f"{x:.17g}" for x in flat[start : start + 6]))
+    return "\n".join(lines) + "\n"
+
+
+def snapshot_field(spec, seed, specials, finite):
+    """Doubles from random bit patterns with ``specials`` written over random cells."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64, size=spec.total_cells, dtype=np.uint64).view(np.float64)
+    cells = rng.choice(spec.total_cells, size=min(len(specials), spec.total_cells), replace=False)
+    values[cells] = specials[: cells.size]
+    if finite:
+        values[~np.isfinite(values)] = 1.0
+    return ScalarField(spec, values)
+
+
+# each example rewrites the same file under tmp_path, so sharing it is safe
+snapshot_settings = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+snapshot_cases = dict(
+    spec=st.sampled_from(SNAPSHOT_GRIDS),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.sampled_from(SPECIAL_VALUES), max_size=len(SPECIAL_VALUES)),
+    time=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestSnapshots:
+    @snapshot_settings
+    @given(**snapshot_cases)
+    def test_bytes_match_per_value_writer(self, spec, seed, specials, time, tmp_path):
+        f = snapshot_field(spec, seed, specials, finite=False)
+        path = tmp_path / "snap.dat"
+        save_snapshot(f, time, path)
+        assert path.read_text() == reference_snapshot(f, time)
+
+    @snapshot_settings
+    @given(**snapshot_cases)
+    def test_finite_values_round_trip_bitwise(self, spec, seed, specials, time, tmp_path):
+        f = snapshot_field(spec, seed, specials, finite=True)
+        path = tmp_path / "snap.dat"
+        save_snapshot(f, time, path)
+        g, t = load_snapshot(path)
+        assert g.spec == spec
+        assert np.array_equal(g.values.view(np.uint64), f.values.view(np.uint64))
+        assert np.float64(t).view(np.uint64) == np.float64(time).view(np.uint64)
+
+    @pytest.mark.parametrize("spec", SNAPSHOT_GRIDS, ids=lambda s: "x".join(map(str, s.n_cells)))
+    def test_six_values_per_line_and_no_empty_line(self, spec, tmp_path):
+        f = snapshot_field(spec, 5, SPECIAL_VALUES, finite=False)
+        path = tmp_path / "snap.dat"
+        save_snapshot(f, 0.5, path)
+        text = path.read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        counts = [len(line.split()) for line in text.splitlines()[4:]]
+        full, rest = divmod(spec.total_cells, 6)
+        assert counts == [6] * full + ([rest] if rest else [])
+
+    @pytest.mark.parametrize(
+        "text,missing",
+        [("", "dim"), ("dim 2\nn_cells 4 4\n", "length"), ("dim 1\nn_cells 4\nlength 1\n", "time")],
+    )
+    def test_missing_header_line_is_named(self, text, missing, tmp_path):
+        path = tmp_path / "short.dat"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"short.dat: missing header line '{missing}'"):
+            load_snapshot(path)
+
+    def test_wrong_value_count_is_named(self, tmp_path):
+        path = tmp_path / "count.dat"
+        path.write_text("dim 2\nn_cells 4 4\nlength 1 1\ntime 0\n" + "1 " * 15 + "\n")
+        with pytest.raises(ValueError, match="count.dat: 15 values, 16 cells"):
+            load_snapshot(path)
+
     @pytest.mark.parametrize(
         "spec", [GridSpec.interval(17, 2.0), GridSpec.rectangle((5, 9), (1.0, 3.0))]
     )
