@@ -49,11 +49,13 @@ def y_functional(u: ScalarField, v: ScalarField, p: float, chi: float, gamma: fl
     """int(u^p) + (chi^2/gamma)^p * int(|grad v|^(2p))."""
     if p <= 1.0:
         raise ValueError(f"p must be > 1, got {p}")
-    vol = u.spec.cell_volume
-    first = float(np.sum(u.values**p)) * vol
+    return _y_from_int(float(np.sum(u.values**p)) * u.spec.cell_volume, v, p, chi, gamma)
+
+
+def _y_from_int(int_u_p: float, v: ScalarField, p: float, chi: float, gamma: float) -> float:
+    """y_p given its first term, int(u^p)."""
     grad_sq = _cell_grad_sq(v.values, v.spec.spacing)
-    second = (chi * chi / gamma) ** p * float(np.sum(grad_sq**p)) * vol
-    return first + second
+    return int_u_p + (chi * chi / gamma) ** p * float(np.sum(grad_sq**p)) * v.spec.cell_volume
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,7 @@ def record(state, config, dt_current: float, w_source=None) -> DiagRecord:
     if w_source is None:
         w_source = kinetics.g_of(u.values, params)
     w_residual = elliptic.relative_residual(w.values, w_source, u.spec.spacing, params.delta)
+    int_u_p = float(np.sum(u.values**p)) * u.spec.cell_volume  # recorded u >= 0: |u|^p = u^p
 
     return DiagRecord(
         t=state.t,
@@ -98,9 +101,9 @@ def record(state, config, dt_current: float, w_source=None) -> DiagRecord:
         sup_u=grid.sup_norm(u),
         sup_v=grid.sup_norm(v),
         sup_w=grid.sup_norm(w),
-        lp_u=grid.lp_norm(u, p),
+        lp_u=int_u_p ** (1.0 / p),
         grad_v_sq=grid.grad_sq_integral(v),
-        y_p=y_functional(u, v, p, params.chi, params.gamma),
+        y_p=_y_from_int(int_u_p, v, p, params.chi, params.gamma),
         dt_current=float(dt_current),
         clipped_mass=state.clipped_mass,
         w_residual=w_residual,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from arcsim import diagnostics, elliptic
 from arcsim.diagnostics import DiagRecord, default_p_diag, record, y_functional, write_csv
-from arcsim.grid import GridSpec, ScalarField, cell_centers, integrate
+from arcsim.grid import GridSpec, ScalarField, cell_centers, integrate, lp_norm
 from arcsim.kinetics import ModelParams, g_of
 from arcsim.stepper import RunConfig, SimState
 
@@ -152,6 +152,32 @@ class TestRecord:
         independent = y_functional(u0, v0, 2.0, params.chi, params.gamma)
         assert rec.y_p == pytest.approx(independent, rel=1e-14)
         assert rec.lp_u == pytest.approx(integrate(ScalarField(spec, u0.values**2)) ** 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(3, 200)), st.tuples(st.integers(3, 40), st.integers(3, 40))
+        ),
+        n=st.integers(1, 6),
+        p_diag=st.sampled_from([2.0, 2.5, None]),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lp_u_and_y_p_bitwise_equal_to_public_functions(self, shape, n, p_diag, scale, seed):
+        rng = np.random.default_rng(seed)
+        spec = GridSpec(len(shape), shape, tuple(rng.uniform(0.2, 5.0, len(shape))))
+        u_values = scale * rng.random(shape)
+        u_values[rng.random(shape) < 0.2] = 0.0
+        u_values[rng.random(shape) < 0.2] = -0.0
+        u = ScalarField(spec, u_values)
+        v = ScalarField(spec, rng.random(shape))
+        params = make_params(n=n)
+        config = RunConfig(spec, params, u, v, t_end=1.0, p_diag=p_diag)
+        state = SimState(u, v, ScalarField(spec, rng.random(shape)), 0.0, 0, 0.0)
+        p = p_diag if p_diag is not None else default_p_diag(n)  # n/2 + 0.5 from n = 4 on
+        rec = record(state, config, dt_current=1e-4, w_source=rng.random(shape))
+        assert rec.lp_u == lp_norm(u, p)
+        assert rec.y_p == y_functional(u, v, p, params.chi, params.gamma)
 
     def test_is_finite(self):
         state, config = homogeneous_setup()

@@ -1,7 +1,10 @@
-"""Package structure tests: the intra-package import graph has no cycle."""
+"""Package structure tests: the intra-package import graph has no cycle, and no FFT is loaded."""
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,22 @@ def test_no_import_cycle():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def test_solves_leave_scipy_fft_unloaded():
+    """import arcsim plus one 1D and one 2D solve, in a fresh interpreter, never load scipy.fft."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import arcsim\n"
+        "rng = np.random.default_rng(0)\n"
+        "arcsim.solve_w_values(rng.random(16), (1 / 16,), 1.0)\n"
+        "arcsim.solve_w_values(rng.random((8, 6)), (1 / 8, 1 / 6), 1.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
