@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 numerical breakdown,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 
@@ -181,6 +180,8 @@ def _sweep_worker(task):
 
 
 def cmd_sweep(args) -> int:
+    import concurrent.futures
+
     values = _load_config(args.config)
     axes = [(name, vals) for name, vals in (("xi", args.xi), ("chi", args.chi)) if vals is not None]
     if len(axes) != 1:

@@ -148,8 +148,10 @@ def build_profile(
     """
     center = center or tuple(L / 2.0 for L in spec.length)
     width = width or tuple(L / 2.0 for L in spec.length)
-    if any(w <= 0.0 for w in width):
-        raise ValueError(f"profile width must be positive, got {width}")
+    if not all(0.0 < w < np.inf for w in width):
+        raise ValueError(f"profile width must be finite and > 0, got {width}")
+    if not all(np.isfinite(c) for c in center):
+        raise ValueError(f"profile center must be finite, got {center}")
     shape = np.ones(spec.shape)
     if profile != "constant":
         for axis, x in enumerate(cell_centers(spec)):

@@ -11,6 +11,9 @@ one BLAS thread or near 150 on two (OpenBLAS splits from ~128), and 1.4-2x
 slower at 192. Its round-off grows faster too: relative residual 5e-12 at 64,
 3e-11 at 128 and 1.7e-10 at 256 cells per axis (FFT: 2e-12, 8e-12, 3e-11).
 :func:`relative_residual` is the one residual definition.
+
+The 1D factor is the only use of scipy: ``scipy.linalg`` is imported when the
+first 1D solver is built, so ``import arcsim`` and the 2D path need numpy only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 
 from .grid import laplacian_values
 
@@ -36,6 +38,8 @@ def _solver(shape: tuple[int, ...], spacing: tuple[float, ...], delta: float):
     N cells, so w = C0^T [(C0 b C1^T) / (delta + sums)] C1.
     """
     if len(shape) == 1:
+        from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
+
         inv_h2 = 1.0 / (spacing[0] * spacing[0])
         ab = np.zeros((2, shape[0]))
         ab[0, 1:] = -inv_h2

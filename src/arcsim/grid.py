@@ -53,8 +53,8 @@ class GridSpec:
             raise ValueError(f"length needs {self.dim} entries, got {len(self.length)}")
         if any(v < 3 for v in self.n_cells):
             raise ValueError(f"need at least 3 cells per axis, got {self.n_cells}")
-        if any(v <= 0.0 for v in self.length):
-            raise ValueError(f"length entries must be positive, got {self.length}")
+        if not all(0.0 < v < np.inf for v in self.length):
+            raise ValueError(f"length entries must be finite and > 0, got {self.length}")
 
     @cached_property
     def spacing(self) -> tuple[float, ...]:

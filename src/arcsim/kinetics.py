@@ -39,11 +39,11 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("chi", "xi", "delta", "K", "gamma", "alpha"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.l < 1.0:
-            raise ValueError(f"l must be >= 1, got {self.l}")
-        if int(self.n) != self.n or self.n < 1:
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 1.0 <= self.l < np.inf:
+            raise ValueError(f"l must be finite and >= 1, got {self.l}")
+        if not 1 <= self.n < np.inf or int(self.n) != self.n:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 

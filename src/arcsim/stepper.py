@@ -123,28 +123,28 @@ class RunConfig:
     def validate(self) -> None:
         if self.u0.spec != self.grid or self.v0.spec != self.grid:
             raise ValueError("initial fields must live on the configured grid")
+        if not (self.u0.is_finite() and self.v0.is_finite()):
+            raise ValueError("initial data must be finite")
         if np.any(self.u0.values < 0.0) or np.any(self.v0.values < 0.0):
             raise ValueError("initial data must be nonnegative")
         if not np.any(self.u0.values > 0.0):
             raise ValueError("u0 must not be identically zero")
-        if not (self.u0.is_finite() and self.v0.is_finite()):
-            raise ValueError("initial data must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             production = g_of(self.u0.values, self.params)
         if not np.isfinite(production).all():
             raise ValueError("production rate g(u0) of the initial data must be finite")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must be in (0, 1], got {self.dt_safety}")
-        if self.output_interval <= 0.0:
-            raise ValueError(f"output_interval must be > 0, got {self.output_interval}")
+        if not 0.0 < self.output_interval < np.inf:
+            raise ValueError(f"output_interval must be finite and > 0, got {self.output_interval}")
         if self.positivity_mode not in POSITIVITY_MODES:
             raise ValueError(f"positivity_mode must be one of {POSITIVITY_MODES}")
-        if self.blowup_factor < 1.0:
-            raise ValueError(f"blowup_factor must be >= 1, got {self.blowup_factor}")
-        if self.p_diag is not None and self.p_diag <= 1.0:
-            raise ValueError(f"p_diag must be > 1, got {self.p_diag}")
+        if not 1.0 <= self.blowup_factor < np.inf:
+            raise ValueError(f"blowup_factor must be finite and >= 1, got {self.blowup_factor}")
+        if self.p_diag is not None and not 1.0 < self.p_diag < np.inf:
+            raise ValueError(f"p_diag must be finite and > 1, got {self.p_diag}")
 
 
 def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> float:

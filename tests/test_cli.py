@@ -63,6 +63,26 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "grid.n_cells" in captured.err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "run.t_end = nan",
+            "run.t_end = inf",
+            "run.output_interval = nan",
+            "run.blowup_factor = nan",
+            "params.chi = nan",
+            "grid.length = inf",
+        ],
+    )
+    def test_nonfinite_value_is_usage_error(self, tmp_path, capsys, line):
+        key = line.partition(" = ")[0]
+        text = "\n".join(row for row in HOMOGENEOUS.splitlines() if not row.startswith(key))
+        cfg = write_config(tmp_path, f"{text}\n{line}\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert key.rsplit(".", 1)[1] in err and "must be finite" in err
+        assert not (tmp_path / "o").exists()
+
     def test_snapshots_written_and_loadable(self, tmp_path):
         cfg = write_config(tmp_path, HOMOGENEOUS)
         out = tmp_path / "snaps"

@@ -1,9 +1,14 @@
 """Config parsing, serialization round-trip, and profile construction."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcsim.config import (
+    SCHEMA,
     ConfigError,
     build_profile,
     build_run_config,
@@ -69,12 +74,46 @@ class TestParsing:
         assert "initial.u0.profile" in str(err.value)
 
 
+FINITE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e308]), st.floats(allow_nan=False, allow_infinity=False)
+)
+PREFIX_CHARS = string.ascii_letters + string.digits + "_-"
+
+
+def value_strategy(spec):
+    if spec.choices is not None:
+        return st.sampled_from(spec.choices)
+    return {
+        "int": st.integers(),
+        "float": FINITE_FLOATS,
+        "ints": st.lists(st.integers(), min_size=1, max_size=2).map(tuple),
+        "floats": st.lists(FINITE_FLOATS, min_size=1, max_size=2).map(tuple),
+        "str": st.text(PREFIX_CHARS),
+    }[spec.kind]
+
+
+@st.composite
+def schema_valid_configs(draw):
+    """Every required key plus a random subset of the optional ones, each a parseable value."""
+    optional = [key for key, spec in SCHEMA.items() if not spec.required]
+    keys = [key for key, spec in SCHEMA.items() if spec.required]
+    keys += draw(st.lists(st.sampled_from(optional), unique=True))
+    return {key: draw(value_strategy(SCHEMA[key])) for key in keys}
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self):
         values = parse_config(GOOD)
         text = serialize_config(values)
         assert parse_config(text) == values
         # serialization is canonical: a second pass is byte-identical
+        assert serialize_config(parse_config(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=schema_valid_configs())
+    def test_random_configs_round_trip(self, values):
+        text = serialize_config(values)
+        assert parse_config(text) == values
         assert serialize_config(parse_config(text)) == text
 
 
@@ -120,6 +159,17 @@ run.t_end = 0.1
     def test_invalid_physics_becomes_config_error(self):
         text = GOOD.replace("params.chi = 1.0", "params.chi = -1.0")
         with pytest.raises(ConfigError):
+            build_run_config(parse_config(text))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["initial.u0.center", "initial.u0.width"])
+    def test_nonfinite_profile_geometry_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"profile {key.rsplit('.', 1)[1]} must be finite"):
+            build_run_config(parse_config(GOOD + f"{key} = {value}\n"))
+
+    def test_nan_amplitude_is_nonfinite_initial_data(self):
+        text = GOOD.replace("initial.u0.amplitude = 0.5", "initial.u0.amplitude = nan")
+        with pytest.raises(ConfigError, match="initial data must be finite"):
             build_run_config(parse_config(text))
 
     def test_negative_initial_data_rejected(self):

@@ -45,6 +45,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(2, (8,), (1.0, 1.0))
 
+    @pytest.mark.parametrize("length", [np.nan, np.inf])
+    def test_nonfinite_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length entries must be finite"):
+            GridSpec(2, (8, 8), (1.0, length))
+
     def test_centers(self):
         spec = GridSpec.interval(4)
         assert np.allclose(cell_centers(spec)[0], [0.125, 0.375, 0.625, 0.875])

@@ -1,4 +1,5 @@
-"""Package structure tests: the intra-package import graph has no cycle, and no FFT is loaded."""
+"""Package structure tests: the intra-package import graph has no cycle, no FFT is loaded,
+and scipy is loaded only by a 1D repellent solve."""
 
 import ast
 import graphlib
@@ -68,3 +69,29 @@ def test_solves_leave_scipy_fft_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_scipy_loaded_only_by_a_1d_solve():
+    """In a fresh interpreter, import, a 2D run and the theory load no scipy; a 1D solve does."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import arcsim, arcsim.cli, arcsim.theory\n"
+        "spec = arcsim.GridSpec.rectangle((8, 6))\n"
+        "u0 = arcsim.ScalarField.from_function(spec, lambda x, y: 1.0 + 0.5 * np.cos(np.pi * x))\n"
+        "params = arcsim.ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 2)\n"
+        "config = arcsim.RunConfig(spec, params, u0, arcsim.ScalarField.full(spec, 1.0),\n"
+        "                          t_end=1e-3, output_interval=1e-3)\n"
+        "records, state, termination = arcsim.run(config)\n"
+        "assert termination == arcsim.COMPLETED and state.step > 0, termination\n"
+        "arcsim.theory.theory_report(3, 2.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "w = arcsim.solve_w_values(np.random.default_rng(0).random(16), (1 / 16,), 1.0)\n"
+        "print(bool(np.isfinite(w).all()), 'scipy.linalg' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "True True"]

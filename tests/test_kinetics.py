@@ -29,6 +29,12 @@ class TestModelParams:
             make_params(n=0)
         assert make_params(n=3.0).n == 3
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["chi", "xi", "delta", "K", "gamma", "alpha", "l", "n"])
+    def test_nonfinite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            make_params(**{field: value})
+
 
 class TestRates:
     def test_f_values(self):

@@ -427,6 +427,13 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(spec, params, u0, v0, t_end=1.0, p_diag=1.0).validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["t_end", "output_interval", "blowup_factor", "p_diag"])
+    def test_rejects_nonfinite_controls(self, field, value):
+        config = bump_config(n=8, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            config.validate()
+
     def test_grid_mismatch(self):
         params = make_params()
         u0 = ScalarField.full(GridSpec.interval(8), 1.0)
