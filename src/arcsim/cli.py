@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 numerical breakdown,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -50,44 +51,63 @@ def _load_config(path: str):
         return cfg.parse_config(fh.read())
 
 
+def _hypotheses(run_config):
+    """The boundedness hypotheses, checked at chi*sup(v0) of the run's initial data."""
+    s = run_config.params.chi * float(np.max(run_config.v0.values))
+    return validate_hypotheses(run_config.params, chi_v0_sup=s)
+
+
 def _print_warnings(report):
     for message in report.warnings:
         print(f"warning: {message}")
 
 
+def _simulate(values, run_config, csv_path, callback=None):
+    """Run one config; write its diagnostics CSV with the config and termination as metadata."""
+    records, _, termination = run(run_config, callback=callback)
+    metadata = {key: cfg.format_value(v) for key, v in values.items()}
+    metadata["termination"] = termination
+    diagnostics.write_csv(records, csv_path, metadata)
+    return records, termination
+
+
+def _write_table(path, header, rows):
+    """Write a CSV table (floats as %.17g, anything else as str) and report its path."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    print(f"wrote {path}")
+
+
 def cmd_validate_config(args) -> int:
     values = _load_config(args.config)
     run_config, _ = cfg.build_run_config(values)
-    s = run_config.params.chi * float(np.max(run_config.v0.values))
-    _print_warnings(validate_hypotheses(run_config.params, chi_v0_sup=s))
+    _print_warnings(_hypotheses(run_config))
     print(cfg.serialize_config(values), end="")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    if not 0.0 <= args.snapshot_every < math.inf:
+        raise ValueError(f"--snapshot-every must be >= 0 and finite, got {args.snapshot_every}")
     values = _load_config(args.config)
     run_config, prefix = cfg.build_run_config(values)
     out = _ensure_out(args.out)
-
-    s = run_config.params.chi * float(np.max(run_config.v0.values))
-    _print_warnings(validate_hypotheses(run_config.params, chi_v0_sup=s))
+    _print_warnings(_hypotheses(run_config))
 
     next_snapshot = [0.0]
 
     def callback(state, rec):
-        if args.snapshot_every <= 0.0 or state.t < next_snapshot[0]:
+        if args.snapshot_every == 0.0 or state.t < next_snapshot[0]:
             return
         for name, field in (("u", state.u), ("v", state.v), ("w", state.w)):
             path = os.path.join(out, f"{prefix}_{name}_{state.step:08d}.dat")
             save_snapshot(field, state.t, path)
         next_snapshot[0] = state.t + args.snapshot_every
 
-    records, final, termination = run(run_config, callback=callback)
-
     csv_path = os.path.join(out, f"{prefix}_diagnostics.csv")
-    metadata = {key: cfg.format_value(v) for key, v in values.items()}
-    metadata["termination"] = termination
-    diagnostics.write_csv(records, csv_path, metadata)
+    records, termination = _simulate(values, run_config, csv_path, callback)
 
     print(f"termination: {termination}")
     if records:
@@ -101,10 +121,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    for p in args.p:
-        if p <= 1.0:
-            print(f"error: p must be > 1, got {p}", file=sys.stderr)
-            return EXIT_USAGE
     header = ("n", "p", "s", "threshold_const", "xi_threshold", "critical_coeff")
     rows = []
     for n in args.n:
@@ -121,13 +137,7 @@ def cmd_thresholds(args) -> int:
         print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
 
     if args.out is not None:
-        out = _ensure_out(args.out)
-        path = os.path.join(out, "thresholds.csv")
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-        print(f"wrote {path}")
+        _write_table(os.path.join(_ensure_out(args.out), "thresholds.csv"), header, rows)
     return EXIT_OK
 
 
@@ -142,41 +152,25 @@ def cmd_figures(args) -> int:
         domains, curves = theory.MATCHED_S_MAX, lambda n, s: theory.matched_p_curves(n, s)
 
     for n in theory.CURVE_DIMENSIONS:
-        path = os.path.join(out, f"{args.variant}_n{n}.csv")
-        with open(path, "w") as fh:
-            fh.write("s,C_mu,C_xi\n")
-            for s in np.linspace(0.0, domains[n], args.samples):
-                mu, xi = curves(n, float(s))
-                fh.write(f"{s:.17g},{mu:.17g},{xi:.17g}\n")
-        print(f"wrote {path}")
+        samples = np.linspace(0.0, domains[n], args.samples).tolist()
+        _write_table(os.path.join(out, f"{args.variant}_n{n}.csv"), ("s", "C_mu", "C_xi"),
+                     [(s, *curves(n, s)) for s in samples])
 
     if args.variant == "fig2":
-        path = os.path.join(out, "fig2_rho0.csv")
-        with open(path, "w") as fh:
-            fh.write("n,rho0\n")
-            for n in theory.CURVE_DIMENSIONS:
-                fh.write(f"{n},{theory.crossover_abscissa(n):.17g}\n")
-        print(f"wrote {path}")
+        _write_table(os.path.join(out, "fig2_rho0.csv"), ("n", "rho0"),
+                     [(n, theory.crossover_abscissa(n)) for n in theory.CURVE_DIMENSIONS])
     return EXIT_OK
 
 
 def _sweep_worker(task):
     values, axis, value, out, prefix = task
-    values = dict(values)
-    values[f"params.{axis}"] = value
+    values = {**values, f"params.{axis}": value}
     run_config, _ = cfg.build_run_config(values)
-    records, _, termination = run(run_config)
-
     csv_path = os.path.join(out, f"{prefix}_{axis}_{value:.6g}_diagnostics.csv")
-    metadata = {key: cfg.format_value(v) for key, v in values.items()}
-    metadata["termination"] = termination
-    diagnostics.write_csv(records, csv_path, metadata)
-
-    s = run_config.params.chi * float(np.max(run_config.v0.values))
-    report = validate_hypotheses(run_config.params, chi_v0_sup=s)
+    records, termination = _simulate(values, run_config, csv_path)
     max_sup_u = max((r.sup_u for r in records), default=float("nan"))
     max_y_p = max((r.y_p for r in records), default=float("nan"))
-    return (value, termination, max_sup_u, max_y_p, report.satisfied)
+    return (value, termination, max_sup_u, max_y_p, _hypotheses(run_config).satisfied)
 
 
 def cmd_sweep(args) -> int:
@@ -194,36 +188,22 @@ def cmd_sweep(args) -> int:
 
     out = _ensure_out(args.out)
     prefix = values.get("output.prefix", "run")
-    tasks = [(values, axis, v, out, prefix) for v in sweep_values]
-
-    rows = [None] * len(tasks)
-    failures = [None] * len(tasks)
+    rows = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {pool.submit(_sweep_worker, task): i for i, task in enumerate(tasks)}
-        for future in concurrent.futures.as_completed(futures):
-            i = futures[future]
+        futures = [pool.submit(_sweep_worker, (values, axis, v, out, prefix)) for v in sweep_values]
+        for value, future in zip(sweep_values, futures):
             try:
-                rows[i] = future.result()
+                rows.append(future.result())
             except Exception as exc:  # per-run failure recorded, sweep continues
-                failures[i] = str(exc)
-                rows[i] = (sweep_values[i], "failed", float("nan"), float("nan"), None)
+                print(f"warning: run {axis}={value:g} failed: {exc}")
+                rows.append((value, "failed", float("nan"), float("nan"), None))
 
-    summary = os.path.join(out, f"{prefix}_sweep_{axis}.csv")
-    with open(summary, "w") as fh:
-        fh.write(f"{axis},termination,max_sup_u,max_y_p,hypotheses_ok\n")
-        for value, termination, sup_u, y_p, ok in rows:
-            fh.write(f"{value:.17g},{termination},{sup_u:.17g},{y_p:.17g},{ok}\n")
-    for i, failure in enumerate(failures):
-        if failure is not None:
-            print(f"warning: run {axis}={sweep_values[i]:g} failed: {failure}")
-    print(f"wrote {summary}")
+    header = (axis, "termination", "max_sup_u", "max_y_p", "hypotheses_ok")
+    _write_table(os.path.join(out, f"{prefix}_sweep_{axis}.csv"), header, rows)
     return EXIT_OK
 
 
 def cmd_mms(args) -> int:
-    if args.refinements < 3:
-        print("error: --refinements must be >= 3", file=sys.stderr)
-        return EXIT_USAGE
     result = mms.run_convergence(
         args.refinements, base_cells=args.base_cells, t_end=args.t_end, variant=args.variant
     )

@@ -66,11 +66,6 @@ def g_of(s, params: ModelParams):
     return params.gamma * s * (s + 1.0) ** (params.l - 1.0)
 
 
-def alpha_upper_bound(n: int) -> float:
-    """Upper end of the admissible consumption-exponent range (0, min(1, 1/2+1/n))."""
-    return min(1.0, 0.5 + 1.0 / n)
-
-
 @dataclass
 class HypothesisReport:
     """Outcome of checking parameters against the boundedness hypotheses.
@@ -135,7 +130,7 @@ def validate_hypotheses(params: ModelParams, chi_v0_sup: float | None = None) ->
     dimension below 3, needs no threshold at all.
     """
     n = params.n
-    upper = alpha_upper_bound(n)
+    upper = theory.alpha_upper_bound(n)
     admissible = 0.0 < params.alpha < upper
     regime = "linear" if params.l == 1.0 else "superlinear"
     report = HypothesisReport(
@@ -161,7 +156,7 @@ def validate_hypotheses(params: ModelParams, chi_v0_sup: float | None = None) ->
         report.warnings.append("xi threshold for n >= 3 not evaluated: chi*sup(v0) unknown")
         return report
 
-    report.xi_required = theory.critical_coefficient(n) * chi_v0_sup ** (4.0 / n)
+    report.xi_required = theory.repulsion_curve(chi_v0_sup, n)
     report.xi_satisfied = params.xi > report.xi_required
     if not report.xi_satisfied:
         report.warnings.append(

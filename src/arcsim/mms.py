@@ -167,7 +167,7 @@ def run_convergence(
 ) -> ConvergenceResult:
     """Solve the forced system on ``refinements`` grids, doubling cells each time."""
     if refinements < 3:
-        raise ValueError(f"need at least 3 refinement levels, got {refinements}")
+        raise ValueError(f"refinements must be >= 3, got {refinements}")
     if params is None:
         params = default_params()
     solution = {"cosine": cosine_solution, "constant": constant_solution}[variant](params)

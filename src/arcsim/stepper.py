@@ -269,55 +269,39 @@ def run(
     t_end = config.t_end
     eps = 1e-12 * max(1.0, t_end)
 
-    def emit(state, records, dt_current):
+    records: list[diagnostics.DiagRecord] = []
+
+    def emit(state, dt_current):
         w_source = _repellent_source(state.u.values, state.t, params, forcing, config.grid)
         rec = diagnostics.record(state, config, dt_current=dt_current, w_source=w_source)
         records.append(rec)
         if callback is not None:
             callback(state, rec)
 
-    records: list[diagnostics.DiagRecord] = []
     state = initial_state(config, forcing)
-
     blow_threshold = config.blowup_factor * float(np.max(config.u0.values))
-
-    try:
-        dt = stable_dt(state, params, config.dt_safety)
-    except NumericalBreakdownError as exc:
-        emit(state, records, exc.dt)
-        return records, state, BREAKDOWN
-    emit(state, records, dt)
-
     k_out = 1
     next_out = min(k_out * config.output_interval, t_end)
     termination = COMPLETED
-    while t_end - state.t > eps:
-        try:
+    try:
+        dt = stable_dt(state, params, config.dt_safety)
+        emit(state, dt)
+        while t_end - state.t > eps:
             if state.step > 0:  # the first step takes the bound computed above
                 dt = stable_dt(state, params, config.dt_safety)
             lands = state.t + dt >= next_out - eps
             if lands:
                 dt = next_out - state.t
-            state = step(
-                state,
-                params,
-                dt,
-                positivity_mode=config.positivity_mode,
-                forcing=forcing,
-            )
-        except NumericalBreakdownError as exc:
-            termination = BREAKDOWN
-            emit(state, records, exc.dt)
-            break
-
-        if float(state.u.values.max()) > blow_threshold:
-            termination = BLOWUP_FLAGGED
-            emit(state, records, dt)
-            break
-
-        if lands:
-            emit(state, records, dt)
-            k_out += 1
-            next_out = min(k_out * config.output_interval, t_end)
-
+            state = step(state, params, dt, positivity_mode=config.positivity_mode, forcing=forcing)
+            if float(state.u.values.max()) > blow_threshold:
+                termination = BLOWUP_FLAGGED
+                emit(state, dt)
+                break
+            if lands:
+                emit(state, dt)
+                k_out += 1
+                next_out = min(k_out * config.output_interval, t_end)
+    except NumericalBreakdownError as exc:
+        termination = BREAKDOWN
+        emit(state, exc.dt)
     return records, state, termination

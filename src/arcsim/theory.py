@@ -20,6 +20,7 @@ __all__ = [
     "p_admissible_range",
     "production_exponent",
     "absorption_exponent",
+    "alpha_upper_bound",
     "logistic_threshold",
     "repulsion_curve",
     "matched_p_curves",
@@ -41,8 +42,13 @@ _DIRECT_P_LIMIT = 50.0
 
 
 def _check_p(p: float) -> None:
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p must be > 1 and finite, got {p}")
+
+
+def _check_s(s: float) -> None:
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"s must be >= 0 and finite, got {s}")
 
 
 def _check_n(n: int) -> int:
@@ -88,8 +94,7 @@ def xi_threshold(p: float, n: int, s: float) -> float:
     """
     _check_p(p)
     n = _check_n(n)
-    if s < 0.0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_s(s)
     if n <= 2 or s == 0.0:
         return 0.0
     if p <= _DIRECT_P_LIMIT:
@@ -145,6 +150,11 @@ def absorption_exponent(n: int, p: float) -> float:
     return (n * p / 2.0) * (1.0 - 1.0 / p) / (1.0 - n / 2.0 + n * p / 2.0)
 
 
+def alpha_upper_bound(n: int) -> float:
+    """Upper end of the admissible consumption-exponent range (0, min(1, 1/2+1/n))."""
+    return min(1.0, 0.5 + 1.0 / n)
+
+
 def logistic_threshold(s: float, n: int) -> float:
     """Minimum logistic damping mu ensuring boundedness in the comparison model.
 
@@ -154,8 +164,7 @@ def logistic_threshold(s: float, n: int) -> float:
     n = _check_n(n)
     if n < 2:
         raise ValueError(f"logistic threshold needs n >= 2, got {n}")
-    if s < 0.0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_s(s)
     base = (n - 1.0) * (4.0 * n * n + n) / (n + 1.0)
     term1 = 4.0 ** (1.0 / n) * (n - 1.0) * n / (n + 1.0) * base ** (1.0 / n) * s ** (2.0 / n)
     half = (n - 1.0) / 2.0
@@ -179,8 +188,7 @@ def repulsion_curve(s: float, n: int) -> float:
     n = _check_n(n)
     if n < 3:
         raise ValueError(f"repulsion curve needs n >= 3, got {n}")
-    if s < 0.0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_s(s)
     return critical_coefficient(n) * s ** (4.0 / n)
 
 
@@ -205,8 +213,7 @@ def matched_p_curves(n: int, s: float) -> tuple[float, float]:
     """
     if n not in _MATCHED_LOGISTIC:
         raise ValueError(f"matched curves tabulated for n in {CURVE_DIMENSIONS}, got {n}")
-    if s < 0.0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_s(s)
     return _MATCHED_LOGISTIC[n](s), repulsion_curve(s, n)
 
 
@@ -281,5 +288,5 @@ def theory_report(n: int, p: float, l: float = 1.0, chi_v0_sup: float = 0.0) -> 
         production_exp=None if l == 1.0 else production_exponent(l, n, p),
         absorption_exp=absorption_exponent(n, p),
         p_range=p_admissible_range(l, n),
-        alpha_range=(0.0, min(1.0, 0.5 + 1.0 / n)),
+        alpha_range=(0.0, alpha_upper_bound(n)),
     )

@@ -95,6 +95,14 @@ class TestSimulate:
         assert np.all(field.values == 2.0)
         assert t >= 0.0
 
+    @pytest.mark.parametrize("every", ["nan", "inf", "-1"])
+    def test_bad_snapshot_interval_is_usage_error(self, tmp_path, capsys, every):
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        out = tmp_path / "o"
+        assert main(["simulate", cfg, "--out", str(out), "--snapshot-every", every]) == EXIT_USAGE
+        assert "--snapshot-every must be >= 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, HOMOGENEOUS)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -133,9 +141,38 @@ class TestThresholds:
         assert float(high["xi_threshold"]) == pytest.approx(8.130551289532086, rel=1e-12)
         assert float(high["critical_coeff"]) == pytest.approx(8.130551289532086, rel=1e-12)
 
+    def test_csv_bytes(self, tmp_path):
+        code = main(["thresholds", "--n", "2,3", "--p", "1.5", "--s", "0,1", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        const = f"{theory.threshold_constant(1.5, 3):.17g}"
+        coeff = f"{theory.critical_coefficient(3):.17g}"
+        assert (tmp_path / "thresholds.csv").read_text() == (
+            "n,p,s,threshold_const,xi_threshold,critical_coeff\n"
+            "2,1.5,0,0,0,0\n"
+            "2,1.5,1,0,0,0\n"
+            f"3,1.5,0,{const},0,{coeff}\n"
+            f"3,1.5,1,{const},{theory.xi_threshold(1.5, 3, 1.0):.17g},{coeff}\n"
+        )
+
     def test_invalid_p_rejected(self, capsys):
         assert main(["thresholds", "--p", "0.5"]) == EXIT_USAGE
         assert "p must be > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--p", "nan", "p must be > 1 and finite, got nan"),
+            ("--p", "inf", "p must be > 1 and finite, got inf"),
+            ("--s", "nan", "s must be >= 0 and finite, got nan"),
+        ],
+    )
+    def test_nonfinite_value_rejected(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        assert main(["thresholds", "--n", "3", flag, value, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestFigures:
@@ -155,6 +192,9 @@ class TestFigures:
     def test_matched_curves_and_crossover(self, tmp_path):
         code = main(["figures", "fig2", "--out", str(tmp_path), "--samples", "41"])
         assert code == EXIT_OK
+        assert (tmp_path / "fig2_rho0.csv").read_text() == "n,rho0\n" + "".join(
+            f"{n},{theory.crossover_abscissa(n):.17g}\n" for n in (3, 4, 5, 6)
+        )
         rho = {int(r["n"]): float(r["rho0"]) for r in read_csv_rows(tmp_path / "fig2_rho0.csv")}
         assert rho[3] == pytest.approx(0.598, abs=0.01)
         assert rho[6] == pytest.approx(0.285, abs=0.01)
@@ -175,6 +215,36 @@ class TestSweep:
         assert all(r["termination"] == "completed" for r in rows)
         sups = {float(r["max_sup_u"]) for r in rows}
         assert sups == {2.0}  # homogeneous runs are xi-independent
+
+    def test_summary_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--xi", "0.5,1", "--jobs", "1", "--out", str(out)]) == EXIT_OK
+        assert (out / "homo_sweep_xi.csv").read_text() == (
+            "xi,termination,max_sup_u,max_y_p,hypotheses_ok\n"
+            "0.5,completed,2,4,True\n"
+            "1,completed,2,4,True\n"
+        )
+
+    def test_failed_run_recorded_and_sweep_continues(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        out = tmp_path / "sweep"
+        code = main(["sweep", cfg, "--xi", "0.5,-1,2", "--jobs", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        captured = capsys.readouterr().out.splitlines()
+        assert captured[0].startswith("warning: run xi=-1 failed: ")
+        assert "xi must be finite and > 0" in captured[0]
+        assert captured[1] == f"wrote {out / 'homo_sweep_xi.csv'}"
+        assert (out / "homo_sweep_xi.csv").read_text() == (
+            "xi,termination,max_sup_u,max_y_p,hypotheses_ok\n"
+            "0.5,completed,2,4,True\n"
+            "-1,failed,nan,nan,None\n"
+            "2,completed,2,4,True\n"
+        )
+        assert sorted(p.name for p in out.glob("*_diagnostics.csv")) == [
+            "homo_xi_0.5_diagnostics.csv",
+            "homo_xi_2_diagnostics.csv",
+        ]
 
     def test_annotation_flips_at_threshold(self, tmp_path):
         text = HOMOGENEOUS + "params.n = 3\nparams.alpha = 0.5\nparams.chi = 1.0\n"

@@ -285,6 +285,10 @@ class TestTheoryReport:
         assert report.production_exp == pytest.approx(0.5)
         assert report.p_range[0] == pytest.approx(2.0)
 
+    def test_nan_p_named(self):
+        with pytest.raises(ValueError, match="p must be > 1 and finite, got nan"):
+            theory.theory_report(3, math.nan)
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             theory.TheoryReport(
@@ -298,3 +302,27 @@ class TestTheoryReport:
                 p_range=(1.0, math.inf),
                 alpha_range=(0.0, 5.0 / 6.0),
             )
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_p_rejected(self, p):
+        for call in (lambda: theory.threshold_constant(p, 3), lambda: theory.xi_threshold(p, 3, 1.0)):
+            with pytest.raises(ValueError, match=f"p must be > 1 and finite, got {p}"):
+                call()
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            lambda s: theory.xi_threshold(2.0, 3, s),
+            lambda s: theory.xi_threshold(2.0, 2, s),
+            lambda s: theory.logistic_threshold(s, 3),
+            lambda s: theory.repulsion_curve(s, 3),
+            lambda s: theory.matched_p_curves(3, s),
+        ],
+        ids=["xi_threshold", "xi_threshold_n2", "logistic", "repulsion", "matched"],
+    )
+    def test_s_rejected(self, curve, s):
+        with pytest.raises(ValueError, match=f"s must be >= 0 and finite, got {s}"):
+            curve(s)
