@@ -41,6 +41,12 @@ def _int_list(raw: str) -> list[int]:
     return [int(v) for v in raw.replace(",", " ").split()]
 
 
+def _require_values(flag: str, values: list) -> None:
+    """Reject an empty list given to ``flag``: a usage error, as ``main`` reports a ValueError."""
+    if not values:
+        raise ValueError(f"empty {flag} list")
+
+
 def _ensure_out(path: str) -> str:
     os.makedirs(path, exist_ok=True)
     return path
@@ -121,6 +127,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
+    for flag, values in (("--n", args.n), ("--p", args.p), ("--s", args.s)):
+        _require_values(flag, values)
     header = ("n", "p", "s", "threshold_const", "xi_threshold", "critical_coeff")
     rows = []
     for n in args.n:
@@ -182,9 +190,7 @@ def cmd_sweep(args) -> int:
         print("error: exactly one of --xi/--chi must be given", file=sys.stderr)
         return EXIT_USAGE
     axis, sweep_values = axes[0]
-    if not sweep_values:
-        print(f"error: empty sweep list for axis --{axis}", file=sys.stderr)
-        return EXIT_USAGE
+    _require_values(f"--{axis}", sweep_values)
 
     out = _ensure_out(args.out)
     prefix = values.get("output.prefix", "run")

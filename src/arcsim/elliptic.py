@@ -3,21 +3,22 @@
 At every time level the repellent w satisfies (delta*I - Lap) w = source with
 reflecting Neumann boundaries. The operator is symmetric positive definite
 for delta > 0 and is solved directly, with one cached solver per grid and
-delta: a banded Cholesky factor and LAPACK's ``pbtrs`` in 1D; in 2D, the
-stencil's cosine eigenbasis as cached orthonormal DCT-II matrices, O(n^3) per
-solve on n x n cells. Against scipy.fft's DCT (numpy 2.4 with OpenBLAS, scipy
-1.17, 2-vCPU x86) that is 2.3x faster at 64 cells per axis, even near 100 on
-one BLAS thread or near 150 on two (OpenBLAS splits from ~128), and 1.4-2x
-slower at 192. Its round-off grows faster too: relative residual 5e-12 at 64,
-3e-11 at 128 and 1.7e-10 at 256 cells per axis (FFT: 2e-12, 8e-12, 3e-11).
+delta, in numpy alone. In 1D, the inverse of the symmetric tridiagonal
+operator is semiseparable (Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)
+707-728), so a solve is two running sums and a few products, O(N), and a
+nonnegative source gives w >= 0 exactly. In 2D, the stencil's cosine
+eigenbasis as cached orthonormal DCT-II matrices, O(n^3) per solve on n x n
+cells. Against scipy.fft's DCT (numpy 2.4 with OpenBLAS, scipy 1.17, 2-vCPU
+x86) that is 2.3x faster at 64 cells per axis, even near 100 on one BLAS
+thread or near 150 on two (OpenBLAS splits from ~128), and 1.4-2x slower at
+192. Its round-off grows faster too: relative residual 5e-12 at 64, 3e-11 at
+128 and 1.7e-10 at 256 cells per axis (FFT: 2e-12, 8e-12, 3e-11).
 :func:`relative_residual` is the one residual definition.
-
-The 1D factor is the only use of scipy: ``scipy.linalg`` is imported when the
-first 1D solver is built, so ``import arcsim`` and the 2D path need numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -27,36 +28,98 @@ from .grid import laplacian_values
 __all__ = ["solve_w_values", "relative_residual"]
 
 
+# Largest growth of phi within one block of the 1D solve: every scaled term and
+# prefix stays within e^300 (~1e130) of the source, far from overflow.
+_BLOCK_GROWTH = 300.0
+
+
+def _interval_solver(n: int, h: float, delta: float):
+    """The 1D solve from the closed-form inverse of the reflecting operator.
+
+    phi solves the homogeneous recurrence from the left wall, built in
+    difference form so that delta is never rounded into delta + 2/h^2:
+    phi_0 = 1, d_0 = delta h^2, phi_{i+1} = phi_i + d_i, d_{i+1} = d_i + delta h^2 phi_{i+1}.
+    With its mirror psi_i = phi_{n-1-i} and their Casoratian W = d_{n-1}/h^2,
+    the inverse is G_ij = phi_min(i,j) psi_max(i,j)/W (Meurant 1992), and by
+    summation by parts
+
+        w_i = phi_i sum_{j>=i} k_j A_j,   A_j = sum_{l<=j} phi_l b_l,
+        k_j = h^2/(phi_j phi_{j+1}) (j < n-1),   k_{n-1} = 1/(W phi_{n-1}).
+
+    A solve is these two running sums and three products, O(n). Summing the
+    two halves of G directly would cancel two large sums whenever the source
+    has a small mean; the nested sums keep the relative residual at the
+    round-off of the operator itself. phi grows like e^{i theta} (cosh theta
+    = 1 + delta h^2/2), so the cells are cut into blocks over which phi grows by
+    at most e^_BLOCK_GROWTH: phi is kept as a mantissa and an exact power of
+    two, both sums of a block are scaled by phi at its first cell, and each
+    block's end sum is carried into the next at the ratio of their scales.
+    Every weight is positive, so b >= 0 gives w >= 0 exactly.
+    """
+    s = delta * h * h
+    # phi_i = mant[i] 2^expo[i] and d_i = dmant[i] 2^expo[i]; rescaling by exact powers
+    # of two leaves every rounding as in the unscaled recurrence
+    mant, dmant = np.empty(n + 1), np.empty(n + 1)
+    expo = np.empty(n + 1, dtype=np.int64)
+    p, d, e = 1.0, s, 0
+    for i in range(n + 1):
+        mant[i], dmant[i], expo[i] = p, d, e
+        p, k = math.frexp(p + d)
+        d = math.ldexp(d, -k) + s * p
+        e += k
+
+    theta = 2.0 * math.asinh(0.5 * math.sqrt(s))
+    length = -(-n // min(n, max(1, math.ceil(n * theta / _BLOCK_GROWTH))))
+    first = np.arange(n) // length * length  # first cell of each cell's block
+    starts = first[::length]
+    # rho_j = phi_j/phi_first; kappa_j carries both scales, with phi_{j+1} (d_{n-1} = h^2 W
+    # at the right wall) in its denominator; carry = phi_first/phi_next_first
+    rho = np.ldexp(mant[:n] / mant[first], expo[:n] - expo[first])
+    nxt, nxt_expo = np.append(mant[1:n], dmant[n - 1]), np.append(expo[1:n], expo[n - 1])
+    kappa = np.ldexp(h * h * mant[first] ** 2 / (mant[:n] * nxt),
+                     2 * expo[first] - expo[:n] - nxt_expo)
+    carry = np.ldexp(mant[starts[:-1]] / mant[starts[1:]], expo[starts[:-1]] - expo[starts[1:]])
+    for array in (rho, kappa):
+        array.setflags(write=False)
+    # per block: its slice, and the cell whose sum it takes over from its neighbour
+    blocks = [slice(a, min(a + length, n)) for a in starts.tolist()]
+    right = tuple(slice(n - blk.stop, n - blk.start) for blk in blocks)  # on the reversed cells
+    into_right = tuple((blk, blk.start - 1, c) for blk, c in zip(blocks[1:], carry.tolist()))
+    into_left = tuple((blk, blk.stop, c) for blk, c in zip(blocks[:-1], carry.tolist()))[::-1]
+    blocks = tuple(blocks)
+
+    def solve(b):
+        x = b * rho
+        for blk in blocks:  # A_j, from the left wall
+            seg = x[blk]
+            np.add.accumulate(seg, out=seg)
+        for blk, prev, c in into_right:
+            x[blk] += x[prev] * c
+        x *= kappa
+        r = x[::-1]
+        for blk in right:  # sum_{j>=i} k_j A_j, from the right wall
+            seg = r[blk]
+            np.add.accumulate(seg, out=seg)
+        for blk, after, c in into_left:
+            x[blk] += x[after] * c
+        x *= rho
+        return x
+
+    return solve
+
+
 @lru_cache(maxsize=32)
 def _solver(shape: tuple[int, ...], spacing: tuple[float, ...], delta: float):
     """The direct solve of (delta*I - Lap) w = b for fields of ``shape``; cached, read-only.
 
-    1D: the upper-banded Cholesky factor and LAPACK's banded triangular solve.
+    1D: :func:`_interval_solver`.
     2D: per axis the DCT-II matrix C[k, j] = sqrt(2/N) cos(pi k (2j+1)/2N), row 0 times
     sqrt(1/2) (the phase k(2j+1) reduced mod 4N in exact integers keeps cos accurate), and
     a contiguous C^T. -Lap has eigenvalue (2 - 2 cos(pi k/N))/h^2 on mode k of an axis with
     N cells, so w = C0^T [(C0 b C1^T) / (delta + sums)] C1.
     """
     if len(shape) == 1:
-        from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
-
-        inv_h2 = 1.0 / (spacing[0] * spacing[0])
-        ab = np.zeros((2, shape[0]))
-        ab[0, 1:] = -inv_h2
-        ab[1, :] = delta + 2.0 * inv_h2
-        ab[1, 0] = delta + inv_h2   # reflecting ghost drops one neighbor
-        ab[1, -1] = delta + inv_h2
-        factor = cholesky_banded(ab, lower=False)
-        factor.setflags(write=False)
-        (pbtrs,) = get_lapack_funcs(("pbtrs",), (factor,))
-
-        def solve(b):
-            w, info = pbtrs(factor, b, lower=0)
-            if info != 0:
-                raise LinAlgError(f"banded triangular solve failed: info = {info}")
-            return w
-
-        return solve
+        return _interval_solver(shape[0], spacing[0], delta)
 
     bases, eigenvalues = [], []
     for n, h in zip(shape, spacing):
@@ -81,8 +144,8 @@ def _solver(shape: tuple[int, ...], spacing: tuple[float, ...], delta: float):
 def solve_w_values(source: np.ndarray, spacing: tuple[float, ...], delta: float) -> np.ndarray:
     """Solve (delta*I - Lap) w = source with zero-flux boundaries on a raw cell array.
 
-    Banded Cholesky in 1D, cosine-basis matrix products in 2D. The source
-    must be finite: the 1D solve does not check it.
+    The closed-form tridiagonal inverse in 1D, cosine-basis matrix products
+    in 2D. The source must be finite: the 1D solve does not check it.
     """
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")

@@ -157,7 +157,7 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
     spacing = state.u.spec.spacing
     drift = params.chi * state.v.values - params.xi * state.w.values
     adv_bound = np.inf
-    for h, peak in zip(spacing, face_difference_peaks(drift, spacing)):
+    for h, peak in zip(spacing, face_difference_peaks(drift)):
         peak /= h
         if peak > 0.0:
             adv_bound = min(adv_bound, h / peak)

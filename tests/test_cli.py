@@ -175,6 +175,16 @@ class TestThresholds:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flag", ["--n", "--p", "--s"])
+    def test_empty_list_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert main(["thresholds", flag, " ", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"error: empty {flag} list" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestFigures:
     def test_comparison_curves(self, tmp_path):
         code = main(["figures", "fig1", "--out", str(tmp_path), "--samples", "51"])
@@ -261,7 +271,7 @@ class TestSweep:
     def test_empty_axis_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HOMOGENEOUS)
         assert main(["sweep", cfg, "--xi", " "]) == EXIT_USAGE
-        assert "--xi" in capsys.readouterr().err
+        assert "error: empty --xi list" in capsys.readouterr().err
 
     def test_exactly_one_axis_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HOMOGENEOUS)

@@ -218,13 +218,13 @@ class TestFaceDifferencePeaks:
     def test_matches_axis_differences(self, spec, seed):
         values = np.random.default_rng(seed).uniform(-3.0, 3.0, spec.shape)
         expected = [float(np.max(np.abs(np.diff(values, axis=axis)))) for axis in range(spec.dim)]
-        assert face_difference_peaks(values, spec.spacing) == expected
+        assert face_difference_peaks(values) == expected
 
     def test_row_ends_are_not_neighbours(self):
         # along the last axis of a 2D grid, the last cell of a row and the first
         # of the next share no face
         values = np.repeat([[0.0], [10.0], [20.0]], 4, axis=1)
-        assert face_difference_peaks(values, (1.0, 1.0)) == [10.0, 0.0]
+        assert face_difference_peaks(values) == [10.0, 0.0]
 
 
 class TestGradSqIntegral:
