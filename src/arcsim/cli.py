@@ -150,6 +150,8 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     out = _ensure_out(args.out)
     if args.variant == "fig1":
         domains, curves = theory.COMPARISON_S_MAX, lambda n, s: (
@@ -171,10 +173,9 @@ def cmd_figures(args) -> int:
 
 
 def _sweep_worker(task):
-    values, axis, value, out, prefix = task
+    values, axis, value, csv_path = task
     values = {**values, f"params.{axis}": value}
     run_config, _ = cfg.build_run_config(values)
-    csv_path = os.path.join(out, f"{prefix}_{axis}_{value:.6g}_diagnostics.csv")
     records, termination = _simulate(values, run_config, csv_path)
     max_sup_u = max((r.sup_u for r in records), default=float("nan"))
     max_y_p = max((r.y_p for r in records), default=float("nan"))
@@ -191,12 +192,19 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     axis, sweep_values = axes[0]
     _require_values(f"--{axis}", sweep_values)
+    prefix = values.get("output.prefix", "run")
+    names = {}  # diagnostics file name -> its sweep value; %.6g can merge close values
+    for value in sweep_values:
+        name = f"{prefix}_{axis}_{value:.6g}_diagnostics.csv"
+        if name in names:
+            raise ValueError(f"--{axis} values {names[name]!r} and {value!r} both write {name}")
+        names[name] = value
 
     out = _ensure_out(args.out)
-    prefix = values.get("output.prefix", "run")
     rows = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [pool.submit(_sweep_worker, (values, axis, v, out, prefix)) for v in sweep_values]
+        futures = [pool.submit(_sweep_worker, (values, axis, v, os.path.join(out, name)))
+                   for name, v in names.items()]
         for value, future in zip(sweep_values, futures):
             try:
                 rows.append(future.result())

@@ -9,8 +9,8 @@ Two gradient discretizations are used on purpose. ``grad_v_sq`` comes from
 by summation by parts against the face-flux Laplacian this is exactly the
 discrete Dirichlet energy -sum(v * Lap_h v) * |cell|. The y_p term needs
 |grad v|^2 at cell centers, to be raised to the power p cell by cell, so it
-uses axis-wise central differences (one-sided at boundaries, consistent with
-the reflecting ghost convention of the operators).
+uses axis-wise central differences, (v_1 - v_0)/(2h) in an end cell, whose
+reflected ghost value is its own (the ghost convention of the operators).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def default_p_diag(n: int) -> float:
 
 
 def _cell_grad_sq(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
-    """|grad f|^2 at cell centers: central differences, one-sided in the end cells."""
+    """|grad f|^2 at cell centers: central differences, (f_1 - f_0)/(2h) in an end cell."""
     total = np.zeros_like(values)
     for axis, h in enumerate(spacing):
         v = values.swapaxes(0, axis)

@@ -57,6 +57,8 @@ def _interval_solver(n: int, h: float, delta: float):
     Every weight is positive, so b >= 0 gives w >= 0 exactly.
     """
     s = delta * h * h
+    if not math.isfinite(s):
+        raise ValueError(f"delta * h^2 must be finite, got delta = {delta:g} and h = {h:g}")
     # phi_i = mant[i] 2^expo[i] and d_i = dmant[i] 2^expo[i]; rescaling by exact powers
     # of two leaves every rounding as in the unscaled recurrence
     mant, dmant = np.empty(n + 1), np.empty(n + 1)

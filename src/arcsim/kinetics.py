@@ -8,7 +8,7 @@ boundedness theory assumes, so they are the sharpest test case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,100 +66,45 @@ def g_of(s, params: ModelParams):
     return params.gamma * s * (s + 1.0) ** (params.l - 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypothesisReport:
-    """Outcome of checking parameters against the boundedness hypotheses.
+    """Verdict of the boundedness hypotheses: ``satisfied`` is None when undecidable.
 
-    Advisory only: a failed check produces warnings, never an abort, so the
-    unproved regime stays explorable.
+    ``xi_required`` is the value xi must exceed, 0 when any xi > 0 does. Advisory only:
+    a failed check produces warnings, never an abort, so the unproved regime stays explorable.
     """
 
-    n: int
-    l: float
-    alpha: float
-    xi: float
-    regime: str                       # "linear" or "superlinear" production
-    alpha_range: tuple[float, float]
-    alpha_admissible: bool
-    xi_required: float | None = None  # minimum xi; None if it needs chi*sup(v0)
-    xi_satisfied: bool | None = None
-    chi_v0_sup: float | None = None
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def satisfied(self) -> bool | None:
-        """Whether all theorem hypotheses hold; None when undecidable."""
-        if not self.alpha_admissible:
-            return False
-        if self.xi_satisfied is None and self.regime == "linear" and self.n >= 3:
-            return None
-        return self.xi_satisfied is not False
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"production exponent l = {self.l:g}: {self.regime} production regime",
-            f"alpha = {self.alpha:g}, admissible range (0, {_format_bound(self.n)}): "
-            + ("ok" if self.alpha_admissible else "VIOLATED"),
-        ]
-        if self.regime == "superlinear":
-            lines.append("any xi > 0 suffices (superlinear production)")
-        elif self.n <= 2:
-            lines.append(f"n = {self.n} <= 2: any xi > 0 suffices")
-        elif self.xi_required is None:
-            lines.append("xi threshold needs chi*sup(v0); not supplied")
-        else:
-            status = "ok" if self.xi_satisfied else "VIOLATED"
-            lines.append(
-                f"xi = {self.xi:g} vs required > {self.xi_required:.6g} "
-                f"(chi*sup(v0) = {self.chi_v0_sup:g}): {status}"
-            )
-        return lines
-
-
-def _format_bound(n: int) -> str:
-    bound = Fraction(1, 2) + Fraction(1, n)
-    return "1" if bound >= 1 else str(bound)
+    satisfied: bool | None
+    xi_required: float | None
+    warnings: tuple[str, ...]
 
 
 def validate_hypotheses(params: ModelParams, chi_v0_sup: float | None = None) -> HypothesisReport:
     """Check parameters against the global-boundedness hypotheses.
 
-    Linear production (l = 1) in dimension n >= 3 demands a repulsion
-    sensitivity above an explicit threshold in chi*sup(v0); pass that
-    product as ``chi_v0_sup`` to evaluate it. Superlinear production, or
-    dimension below 3, needs no threshold at all.
+    Every case needs alpha in (0, min(1, 1/2 + 1/n)). Linear production
+    (l = 1) in dimension n <= 2, or superlinear production (l > 1), then
+    holds for any xi > 0; l = 1 in dimension n >= 3 demands xi above an
+    explicit threshold in chi*sup(v0), evaluated when that product is passed
+    as ``chi_v0_sup``.
     """
+    if chi_v0_sup is not None and not 0.0 <= chi_v0_sup < np.inf:
+        raise ValueError(f"chi_v0_sup must be >= 0 and finite, got {chi_v0_sup}")
     n = params.n
-    upper = theory.alpha_upper_bound(n)
-    admissible = 0.0 < params.alpha < upper
-    regime = "linear" if params.l == 1.0 else "superlinear"
-    report = HypothesisReport(
-        n=n,
-        l=params.l,
-        alpha=params.alpha,
-        xi=params.xi,
-        regime=regime,
-        alpha_range=(0.0, upper),
-        alpha_admissible=admissible,
-        chi_v0_sup=chi_v0_sup,
-    )
-    if not admissible:
-        report.warnings.append(f"alpha={params.alpha:g} outside (0, {_format_bound(n)})")
+    warnings = []
+    alpha_ok = params.alpha < theory.alpha_upper_bound(n)
+    if not alpha_ok:
+        bound = min(Fraction(1, 2) + Fraction(1, n), 1)
+        warnings.append(f"alpha={params.alpha:g} outside (0, {bound})")
 
-    if regime == "superlinear" or n <= 2:
-        # any positive xi works; ModelParams already enforces xi > 0
-        report.xi_required = 0.0
-        report.xi_satisfied = True
-        return report
-
-    if chi_v0_sup is None:
-        report.warnings.append("xi threshold for n >= 3 not evaluated: chi*sup(v0) unknown")
-        return report
-
-    report.xi_required = theory.repulsion_curve(chi_v0_sup, n)
-    report.xi_satisfied = params.xi > report.xi_required
-    if not report.xi_satisfied:
-        report.warnings.append(
-            f"xi={params.xi:g} below the boundedness threshold {report.xi_required:.6g}"
-        )
-    return report
+    if params.l > 1.0 or n <= 2:
+        xi_required, xi_ok = 0.0, True
+    elif chi_v0_sup is None:
+        xi_required, xi_ok = None, None
+        warnings.append("xi threshold for n >= 3 not evaluated: chi*sup(v0) unknown")
+    else:
+        xi_required = theory.repulsion_curve(chi_v0_sup, n)
+        xi_ok = params.xi > xi_required
+        if not xi_ok:
+            warnings.append(f"xi={params.xi:g} below the boundedness threshold {xi_required:.6g}")
+    return HypothesisReport(xi_ok if alpha_ok else False, xi_required, tuple(warnings))

@@ -133,6 +133,8 @@ class RunConfig:
             production = g_of(self.u0.values, self.params)
         if not np.isfinite(production).all():
             raise ValueError("production rate g(u0) of the initial data must be finite")
+        if not np.isfinite(self.params.chi * float(np.max(self.v0.values))):
+            raise ValueError("chi * max(v0) of the initial data must be finite")
         if not 0.0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if not 0.0 < self.dt_safety <= 1.0:
@@ -186,6 +188,8 @@ def step(
     forcing: Forcing | None = None,
 ) -> SimState:
     """Advance one explicit step of size dt; see the module docstring for the scheme."""
+    if positivity_mode not in POSITIVITY_MODES:
+        raise ValueError(f"positivity_mode must be one of {POSITIVITY_MODES}")
     spec = state.u.spec
     spacing = spec.spacing
     u = state.u.values

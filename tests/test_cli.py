@@ -83,6 +83,27 @@ class TestSimulate:
         assert key.rsplit(".", 1)[1] in err and "must be finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_attractant_overflow_is_usage_error(self, tmp_path, capsys, n):
+        text = HOMOGENEOUS.replace("initial.v0.amplitude = 1.0", "initial.v0.amplitude = 1e10")
+        cfg = write_config(tmp_path, f"{text}params.chi = 1e300\nparams.n = {n}\n")
+        out = tmp_path / "o"
+        assert main(["simulate", cfg, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "config error: chi * max(v0) of the initial data must be finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_repellent_overflow_is_usage_error(self, tmp_path, capsys):
+        text = HOMOGENEOUS.replace("grid.n_cells = 32", "grid.n_cells = 20").replace(
+            "initial.u0.profile = constant", "initial.u0.profile = cosine-bump"
+        )
+        cfg = write_config(tmp_path, f"{text}grid.length = 1000\nparams.delta = 1e305\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta * h^2 must be finite, got delta = 1e+305 and h = 50")
+        assert "Traceback" not in err
+
     def test_snapshots_written_and_loadable(self, tmp_path):
         cfg = write_config(tmp_path, HOMOGENEOUS)
         out = tmp_path / "snaps"
@@ -213,6 +234,12 @@ class TestFigures:
             rows = read_csv_rows(tmp_path / f"fig2_n{n}.csv")
             assert float(rows[-1]["C_mu"]) > float(rows[-1]["C_xi"])
 
+    def test_zero_samples_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["figures", "fig1", "--samples", "0", "--out", str(out)]) == EXIT_USAGE
+        assert "error: --samples must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_xi_sweep_rows_in_order(self, tmp_path, capsys):
@@ -235,6 +262,25 @@ class TestSweep:
             "0.5,completed,2,4,True\n"
             "1,completed,2,4,True\n"
         )
+        assert sorted(p.name for p in out.glob("*_diagnostics.csv")) == [
+            "homo_xi_0.5_diagnostics.csv",
+            "homo_xi_1_diagnostics.csv",
+        ]
+
+    @pytest.mark.parametrize(
+        "xi, first, second",
+        [("1.0000001,1.0000002,1", "1.0000001", "1.0000002"), ("1,1", "1.0", "1.0")],
+    )
+    def test_points_sharing_a_file_are_usage_error(self, tmp_path, capsys, xi, first, second):
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--xi", xi, "--jobs", "2", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --xi values {first} and {second} both write homo_xi_1_diagnostics.csv\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_failed_run_recorded_and_sweep_continues(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HOMOGENEOUS)

@@ -242,6 +242,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve(ScalarField.full(spec, 1.0), 0.0)
 
+    def test_1d_overflowing_delta_h_squared_is_named(self):
+        source = np.random.default_rng(0).random(20)
+        message = r"^delta \* h\^2 must be finite, got delta = 1e\+305 and h = 50$"
+        with pytest.raises(ValueError, match=message):
+            elliptic.solve_w_values(source, (50.0,), 1e305)
+
     def test_residual_definition(self):
         spec = GridSpec.interval(32)
         source = random_source(spec, 13)

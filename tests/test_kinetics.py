@@ -1,5 +1,7 @@
 """Rate-law and hypothesis-check tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,28 +101,44 @@ class TestRates:
         assert np.all(np.diff(g_of(s, params)) >= 0.0)
 
 
+def _expected_verdict(params, chi_v0_sup):
+    """(satisfied, xi_required, warning count), straight from the theory module."""
+    alpha_ok = params.alpha < theory.alpha_upper_bound(params.n)
+    if params.l > 1.0 or params.n <= 2:
+        xi_required, xi_ok = 0.0, True
+    elif chi_v0_sup is None:
+        xi_required, xi_ok = None, None
+    else:
+        xi_required = theory.repulsion_curve(chi_v0_sup, params.n)
+        xi_ok = params.xi > xi_required
+    return (xi_ok if alpha_ok else False), xi_required, (not alpha_ok) + (xi_ok is not True)
+
+
 class TestValidateHypotheses:
+    def test_report_is_a_frozen_verdict(self):
+        report = validate_hypotheses(make_params())
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "satisfied", "xi_required", "warnings"
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.satisfied = False
+
     def test_low_dimension_linear(self):
         report = validate_hypotheses(make_params(alpha=0.9, l=1.0, n=2))
-        assert report.regime == "linear"
-        assert report.alpha_admissible
-        assert report.alpha_range == (0.0, 1.0)
         assert report.xi_required == 0.0
         assert report.satisfied is True
-        assert report.warnings == []
+        assert report.warnings == ()
 
     def test_alpha_out_of_range_n3(self):
         report = validate_hypotheses(make_params(alpha=0.9, n=3), chi_v0_sup=1.0)
-        assert not report.alpha_admissible
-        assert report.alpha_range[1] == pytest.approx(5.0 / 6.0)
         assert report.satisfied is False
         assert any("(0, 5/6)" in w for w in report.warnings)
 
     def test_superlinear_any_xi(self):
         report = validate_hypotheses(make_params(alpha=0.5, l=2.0, n=4, xi=1e-9))
-        assert report.regime == "superlinear"
         assert report.satisfied is True
         assert report.xi_required == 0.0
+        assert report.warnings == ()
 
     def test_threshold_comparison(self):
         s = 0.8
@@ -128,8 +146,9 @@ class TestValidateHypotheses:
         low = validate_hypotheses(make_params(n=3, xi=needed * 0.99), chi_v0_sup=s)
         high = validate_hypotheses(make_params(n=3, xi=needed * 1.01), chi_v0_sup=s)
         assert low.xi_required == pytest.approx(needed)
-        assert low.xi_satisfied is False and low.satisfied is False
-        assert high.xi_satisfied is True and high.satisfied is True
+        assert low.satisfied is False
+        assert high.satisfied is True
+        assert len(low.warnings) == 1 and high.warnings == ()
 
     def test_unknown_attractant_peak(self):
         report = validate_hypotheses(make_params(n=3))
@@ -140,4 +159,26 @@ class TestValidateHypotheses:
     def test_never_raises_outside_ranges(self):
         report = validate_hypotheses(make_params(alpha=2.0, n=5, l=1.0), chi_v0_sup=10.0)
         assert report.satisfied is False
-        assert len(report.summary_lines()) >= 2
+        assert len(report.warnings) == 2
+
+    @pytest.mark.parametrize("chi_v0_sup", [np.inf, np.nan, -1.0])
+    def test_bad_attractant_peak_is_named(self, chi_v0_sup):
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="^chi_v0_sup must be >= 0 and finite"):
+                validate_hypotheses(make_params(n=n), chi_v0_sup=chi_v0_sup)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        l=st.one_of(st.just(1.0), st.floats(1.0, 3.0, exclude_min=True)),
+        alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+        xi=st.floats(1e-6, 1e3),
+        chi_v0_sup=st.one_of(st.none(), st.floats(0.0, 50.0)),
+    )
+    def test_verdict_matches_the_theory(self, n, l, alpha, xi, chi_v0_sup):
+        params = make_params(n=n, l=l, alpha=alpha, xi=xi)
+        report = validate_hypotheses(params, chi_v0_sup=chi_v0_sup)
+        satisfied, xi_required, n_warnings = _expected_verdict(params, chi_v0_sup)
+        assert report.satisfied is satisfied
+        assert report.xi_required == xi_required
+        assert len(report.warnings) == n_warnings

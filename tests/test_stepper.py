@@ -116,6 +116,14 @@ class TestStep:
         assert np.all(state.u.values == 2.0)
         assert np.all(state.w.values == state.w.values.flat[0])
 
+    def test_unknown_positivity_mode_rejected(self):
+        spec = GridSpec.interval(8)
+        params = make_params()
+        state = homogeneous_state(spec, params)
+        message = r"^positivity_mode must be one of \('clip', 'upwind'\)$"
+        with pytest.raises(ValueError, match=message):
+            step(state, params, 1e-3, positivity_mode="bogus")
+
     def test_homogeneous_v_follows_euler_ode(self):
         spec = GridSpec.interval(16)
         params = make_params()
@@ -367,6 +375,13 @@ class TestRun:
             t_end=1e-3,
         )
         with pytest.raises(ValueError, match="production rate"):
+            run(config)
+
+    def test_overflowing_attractant_peak_rejected(self):
+        # chi*max(v0) overflows although chi and v0 are finite
+        v0 = ScalarField.full(GridSpec.interval(64), 1e10)
+        config = bump_config(params=make_params(chi=1e300), v0=v0)
+        with pytest.raises(ValueError, match=r"^chi \* max\(v0\) of the initial data must be"):
             run(config)
 
     def test_upwind_mode_also_conserves(self):
