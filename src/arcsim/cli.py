@@ -73,6 +73,7 @@ def _simulate(values, run_config, csv_path, callback=None):
     records, _, termination = run(run_config, callback=callback)
     metadata = {key: cfg.format_value(v) for key, v in values.items()}
     metadata["termination"] = termination
+    _ensure_out(os.path.dirname(csv_path))
     diagnostics.write_csv(records, csv_path, metadata)
     return records, termination
 
@@ -99,7 +100,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--snapshot-every must be >= 0 and finite, got {args.snapshot_every}")
     values = _load_config(args.config)
     run_config, prefix = cfg.build_run_config(values)
-    out = _ensure_out(args.out)
+    out = args.out  # made when the first file is written, so a failed start leaves none
     _print_warnings(_hypotheses(run_config))
 
     next_snapshot = [0.0]
@@ -107,6 +108,7 @@ def cmd_simulate(args) -> int:
     def callback(state, rec):
         if args.snapshot_every == 0.0 or state.t < next_snapshot[0]:
             return
+        _ensure_out(out)
         for name, field in (("u", state.u), ("v", state.v), ("w", state.w)):
             path = os.path.join(out, f"{prefix}_{name}_{state.step:08d}.dat")
             save_snapshot(field, state.t, path)

@@ -59,6 +59,8 @@ def _interval_solver(n: int, h: float, delta: float):
     s = delta * h * h
     if not math.isfinite(s):
         raise ValueError(f"delta * h^2 must be finite, got delta = {delta:g} and h = {h:g}")
+    if s == 0.0:  # phi would stay 1 and the Casoratian W vanish: w = inf
+        raise ValueError(f"delta * h^2 underflows to 0, got delta = {delta:g} and h = {h:g}")
     # phi_i = mant[i] 2^expo[i] and d_i = dmant[i] 2^expo[i]; rescaling by exact powers
     # of two leaves every rounding as in the unscaled recurrence
     mant, dmant = np.empty(n + 1), np.empty(n + 1)

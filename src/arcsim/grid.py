@@ -134,6 +134,17 @@ class ScalarField:
         """Sample ``fn`` at cell centers; fn takes one coordinate array per axis."""
         return cls(spec, np.asarray(fn(*cell_centers(spec)), dtype=float))
 
+    @classmethod
+    def _wrap(cls, spec: GridSpec, values: np.ndarray) -> "ScalarField":
+        """A field on ``values``, a float array of ``spec.shape`` that its caller made itself.
+
+        Skips the conversion and the size check of ``__post_init__``.
+        """
+        field = object.__new__(cls)
+        field.spec = spec
+        field.values = values
+        return field
+
 
 @dataclass(frozen=True)
 class AxisOperators:
@@ -143,46 +154,49 @@ class AxisOperators:
     entries; ``interior`` picks the interior faces (the first and last s are
     the zero-flux boundary), and ``lo``/``hi`` also pick the two faces of each
     cell. On the last axis of a 2D grid, ``wrap`` picks the interior entries
-    that would join one row's last cell to the next row's first; they carry zero.
+    that would join one row's last cell to the next row's first; they carry
+    zero. ``seams`` picks the same entries among the interior faces alone.
     """
 
+    axis: int
     lo: slice
     hi: slice
     interior: slice
     wrap: slice | None
+    seams: slice | None
     n_faces: int
-    inv_h2: float
+
+
+@lru_cache(maxsize=64)
+def axis_operators(shape: tuple[int, ...]) -> tuple[AxisOperators, ...]:
+    """Per-axis face slices for fields of ``shape``; cached and immutable."""
+    size = int(np.prod(shape))
+    row = shape[-1]
+    axes = []
+    for axis in range(len(shape)):
+        s = int(np.prod(shape[axis + 1 :]))
+        wrap = seams = None
+        if s == 1 and size > row:
+            wrap, seams = slice(row, size, row), slice(row - 1, size - 1, row)
+        axes.append(AxisOperators(axis, slice(None, -s), slice(s, None), slice(s, -s),
+                                  wrap, seams, size + s))
+    return tuple(axes)
 
 
 @dataclass(frozen=True)
 class FaceOperators:
-    """Per-axis face tables of one grid plus its diffusive step bound 1/(2*sum(1/h^2))."""
+    """Face tables of one grid, 1/h^2 per axis, and its diffusive step bound 1/(2*sum(1/h^2))."""
 
     axes: tuple[AxisOperators, ...]
+    inv_h2: tuple[float, ...]
     diffusive_bound: float
 
 
 @lru_cache(maxsize=64)
 def face_operators(shape: tuple[int, ...], spacing: tuple[float, ...]) -> FaceOperators:
     """Face tables for fields of ``shape`` on ``spacing``; cached and immutable."""
-    size = int(np.prod(shape))
-    row = shape[-1]
-    axes = []
-    for axis, h in enumerate(spacing):
-        s = int(np.prod(shape[axis + 1 :]))
-        wrap = slice(row, size, row) if s == 1 and size > row else None
-        lo, hi, interior = slice(None, -s), slice(s, None), slice(s, -s)
-        axes.append(AxisOperators(lo, hi, interior, wrap, size + s, 1.0 / (h * h)))
-    return FaceOperators(tuple(axes), 0.5 / sum(ax.inv_h2 for ax in axes))
-
-
-def _faces(face_flux, ax: AxisOperators) -> np.ndarray:
-    """Face array of one axis: ``face_flux(ax, out)`` fills its interior, the rest is zero."""
-    faces = np.zeros(ax.n_faces)
-    face_flux(ax, faces[ax.interior])
-    if ax.wrap is not None:
-        faces[ax.wrap] = 0.0
-    return faces
+    inv_h2 = tuple(1.0 / (h * h) for h in spacing)
+    return FaceOperators(axis_operators(shape), inv_h2, 0.5 / sum(inv_h2))
 
 
 def _differences(flat: np.ndarray):
@@ -194,38 +208,46 @@ def _differences(flat: np.ndarray):
     return flux
 
 
-def _flux_divergence(face_flux, shape: tuple[int, ...], spacing: tuple[float, ...]) -> np.ndarray:
+def _flux_divergence(
+    face_flux, shape: tuple[int, ...], spacing: tuple[float, ...], rows: tuple[int, ...] = ()
+) -> np.ndarray:
     """Sum over axes of the divergence of an interior-face flux; boundary faces carry zero.
 
     ``face_flux(ax, out)`` writes h times the flux across the interior faces
     of axis ``ax`` into ``out``, so one 1/h^2 scales each axis's divergence.
+    With ``rows``, ``out`` holds that many fluxes (shape ``rows`` + faces) and
+    so does the result (shape ``rows + shape``), each row as if alone.
     """
+    ops = face_operators(shape, spacing)
     total = None
-    for ax in face_operators(shape, spacing).axes:
-        faces = _faces(face_flux, ax)
-        div = faces[ax.hi] - faces[ax.lo]
-        div *= ax.inv_h2
+    for ax, inv_h2 in zip(ops.axes, ops.inv_h2):
+        faces = np.zeros(rows + (ax.n_faces,))
+        face_flux(ax, faces[..., ax.interior])
+        if ax.wrap is not None:
+            faces[..., ax.wrap] = 0.0
+        div = faces[..., ax.hi] - faces[..., ax.lo]
+        div *= inv_h2
         if total is None:
             total = div
         else:
             total += div
-    return total.reshape(shape)
+    return total.reshape(rows + shape)
 
 
-# index pairs (hi, lo) that pick the cells on either side of each interior face, per axis
-_FACE_SIDES = (
-    ((slice(1, None),), (slice(None, -1),)),
-    ((slice(None), slice(1, None)), (slice(None), slice(None, -1))),
-)
+def face_differences(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Difference of ``values`` across each interior face, per axis, on the flattened array.
 
-
-def face_difference_peaks(values: np.ndarray) -> list[float]:
-    """Largest |difference| of ``values`` across an interior face, per axis."""
-    peaks = []
-    for hi, lo in _FACE_SIDES[: values.ndim]:
-        diff = values[hi] - values[lo]
-        peaks.append(float(np.abs(diff, out=diff).max()))
-    return peaks
+    Entry i of an axis is the face between flat cells i and i + s (its
+    stride); the ``seams`` entries, which join no neighbours, are zero.
+    """
+    flat = values.ravel()
+    out = []
+    for ax in axis_operators(values.shape):
+        diff = flat[ax.hi] - flat[ax.lo]
+        if ax.seams is not None:
+            diff[ax.seams] = 0.0
+        out.append(diff)
+    return tuple(out)
 
 
 def _u_face(lo: np.ndarray, hi: np.ndarray, dphi: np.ndarray, scheme: str) -> np.ndarray:
@@ -273,6 +295,21 @@ def div_u_grad_values(
     return _flux_divergence(flux, u.shape, spacing)
 
 
+def _drift_flux(u_flat: np.ndarray, dphis: tuple[np.ndarray, ...], scheme: str):
+    """Face flux grad(u) - u_face grad(phi) from the face differences ``dphis`` of phi."""
+
+    def flux(ax, out):
+        lo = u_flat[ax.lo]
+        hi = u_flat[ax.hi]
+        dphi = dphis[ax.axis]
+        drift = _u_face(lo, hi, dphi, scheme)
+        drift *= dphi
+        np.subtract(hi, lo, out=out)
+        out -= drift
+
+    return flux
+
+
 def drift_diffusion_values(
     u: np.ndarray,
     phi: np.ndarray,
@@ -284,19 +321,29 @@ def drift_diffusion_values(
     Equals ``laplacian_values(u) - div_u_grad_values(u, phi, scheme)`` up to
     round-off, in one pass per axis; ``scheme`` picks u_face as there.
     """
-    u_flat = u.ravel()
-    phi_flat = phi.ravel()
+    return _flux_divergence(_drift_flux(u.ravel(), face_differences(phi), scheme), u.shape, spacing)
+
+
+def drift_diffusion_laplacian_values(
+    u: np.ndarray,
+    v: np.ndarray,
+    dphis: tuple[np.ndarray, ...],
+    spacing: tuple[float, ...],
+    scheme: str = "central",
+) -> np.ndarray:
+    """``drift_diffusion_values(u, phi)`` and ``laplacian_values(v)`` stacked, shape (2, *u.shape).
+
+    ``dphis`` is ``face_differences(phi)``. One pass per axis builds both face
+    fluxes in one face array; each row is bitwise what its function returns.
+    """
+    u_flux = _drift_flux(u.ravel(), dphis, scheme)
+    v_flux = _differences(v.ravel())
 
     def flux(ax, out):
-        lo = u_flat[ax.lo]
-        hi = u_flat[ax.hi]
-        dphi = phi_flat[ax.hi] - phi_flat[ax.lo]
-        drift = _u_face(lo, hi, dphi, scheme)
-        drift *= dphi
-        np.subtract(hi, lo, out=out)
-        out -= drift
+        u_flux(ax, out[0])
+        v_flux(ax, out[1])
 
-    return _flux_divergence(flux, u.shape, spacing)
+    return _flux_divergence(flux, u.shape, spacing, rows=(2,))
 
 
 def integrate(f: ScalarField) -> float:

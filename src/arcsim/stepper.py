@@ -15,6 +15,14 @@ value u_face: the mean of the two adjacent cells in "clip" mode (second
 order), the donor cell in "upwind" mode. A non-finite u, v or g(u) stops the
 step before the elliptic solve.
 
+Each step forms every quantity once. :func:`stable_dt` leaves the face
+differences of the drift potential chi*v - xi*w on the state it was given,
+tagged with (chi, xi) and the v and w arrays; :func:`step` reuses them when
+these match and forms them itself otherwise. One pass per axis then builds
+the u face flux and the face difference of v in one face array, in the
+arithmetic order of ``drift_diffusion_values`` and ``laplacian_values``, and
+the arrays the step makes become fields without being checked again.
+
 The step size obeys both the diffusive limit and an advective CFL limit on
 the drift potential. In either mode, negative u or v cells are clipped to
 zero; the clipped u-mass is accumulated (as an absolute magnitude) so that
@@ -28,19 +36,19 @@ statement that the solution blows up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import diagnostics, elliptic
-from .grid import (  # noqa: F401  (div_u_grad_values: a binding perfbench traces)
+from .grid import (  # noqa: F401  (div_u_grad_values, laplacian_values: bindings perfbench traces)
     GridSpec,
     ScalarField,
     cell_centers,
     div_u_grad_values,
-    drift_diffusion_values,
-    face_difference_peaks,
+    drift_diffusion_laplacian_values,
+    face_differences,
     face_operators,
     laplacian_values,
 )
@@ -80,7 +88,10 @@ class SimState:
     """Snapshot of the evolving triplet (u, v, w) at time t.
 
     ``clipped_mass`` is the cumulative magnitude of u-mass adjusted by
-    positivity clipping; it stays zero on well-resolved runs.
+    positivity clipping; it stays zero on well-resolved runs. ``_drift``
+    holds the face differences of chi*v - xi*w once :func:`stable_dt` or
+    :func:`step` has formed them, tagged with the (chi, xi) and the v and w
+    arrays they came from; it is neither compared nor printed.
     """
 
     u: ScalarField
@@ -89,6 +100,7 @@ class SimState:
     t: float
     step: int
     clipped_mass: float = 0.0
+    _drift: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -149,21 +161,38 @@ class RunConfig:
             raise ValueError(f"p_diag must be finite and > 1, got {self.p_diag}")
 
 
+def _drift_differences(state: SimState, params: ModelParams) -> tuple[np.ndarray, ...]:
+    """Face differences of the drift potential chi*v - xi*w per axis, formed once per state.
+
+    They are kept on the state, tagged with (chi, xi) and the identity of the
+    v and w arrays, and formed afresh when any of these differ.
+    """
+    v = state.v.values
+    w = state.w.values
+    tag = (params.chi, params.xi)
+    cached = state._drift
+    if cached is not None and cached[0] == tag and cached[1] is v and cached[2] is w:
+        return cached[3]
+    dphis = face_differences(params.chi * v - params.xi * w)
+    state._drift = (tag, v, w, dphis)
+    return dphis
+
+
 def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> float:
     """Largest safe explicit step: diffusive limit and drift CFL, scaled by dt_safety.
 
     The diffusive bound is 1/(2*sum(1/h_i^2)), i.e. h^2/(2*dim) on uniform
     spacing; the advective bound is h/max|face gradient of chi*v - xi*w| per
-    axis (infinite when the drift is flat).
+    axis (infinite when the drift is flat). The drift's face differences stay
+    on the state for the :func:`step` that follows.
     """
     spacing = state.u.spec.spacing
-    drift = params.chi * state.v.values - params.xi * state.w.values
     adv_bound = np.inf
-    for h, peak in zip(spacing, face_difference_peaks(drift)):
-        peak /= h
+    for h, dphi in zip(spacing, _drift_differences(state, params)):
+        peak = float(np.abs(dphi).max()) / h
         if peak > 0.0:
             adv_bound = min(adv_bound, h / peak)
-    diff_bound = face_operators(drift.shape, spacing).diffusive_bound
+    diff_bound = face_operators(state.u.spec.shape, spacing).diffusive_bound
     dt = dt_safety * min(diff_bound, adv_bound)
     if dt < DT_UNDERFLOW:
         raise NumericalBreakdownError(f"stable step size underflow: dt = {dt:.3e}", dt)
@@ -176,7 +205,7 @@ def _repellent_source(
     """Right-hand side g(u) + forcing.w_source of the repellent equation at time t."""
     source = g_of(u, params)
     if forcing is not None and forcing.w_source is not None:
-        source = source + forcing.w_source(cell_centers(spec), t)
+        source += forcing.w_source(cell_centers(spec), t)
     return source
 
 
@@ -196,10 +225,9 @@ def step(
     v = state.v.values
     w = state.w.values
 
-    drift = params.chi * v - params.xi * w
     scheme = "upwind" if positivity_mode == "upwind" else "central"
-    u_new = drift_diffusion_values(u, drift, spacing, scheme)
-    v_new = laplacian_values(v, spacing)
+    rhs = drift_diffusion_laplacian_values(u, v, _drift_differences(state, params), spacing, scheme)
+    u_new, v_new = rhs
     consumption = f_of(u, params)
     consumption *= v
     v_new -= consumption
@@ -211,17 +239,17 @@ def step(
             v_new += forcing.v(centers, state.t)
 
     # the right-hand sides become the updated fields in place
-    u_new *= dt
+    rhs *= dt
     u_new += u
-    v_new *= dt
     v_new += v
 
     clipped = state.clipped_mass
-    if u_new.min() < 0.0:
-        clipped += float(-u_new[u_new < 0.0].sum()) * spec.cell_volume
-        np.maximum(u_new, 0.0, out=u_new)
-    if v_new.min() < 0.0:
-        np.maximum(v_new, 0.0, out=v_new)
+    if not rhs.min() >= 0.0:  # a NaN also leaves the two checks below to decide
+        if u_new.min() < 0.0:
+            clipped += float(-u_new[u_new < 0.0].sum()) * spec.cell_volume
+            np.maximum(u_new, 0.0, out=u_new)
+        if v_new.min() < 0.0:
+            np.maximum(v_new, 0.0, out=v_new)
 
     t_new = state.t + dt
     w_source = _repellent_source(u_new, t_new, params, forcing, spec)
@@ -233,9 +261,9 @@ def step(
     w_new = elliptic.solve_w_values(w_source, spacing, params.delta)
 
     return SimState(
-        u=ScalarField(spec, u_new),
-        v=ScalarField(spec, v_new),
-        w=ScalarField(spec, w_new),
+        u=ScalarField._wrap(spec, u_new),
+        v=ScalarField._wrap(spec, v_new),
+        w=ScalarField._wrap(spec, w_new),
         t=t_new,
         step=state.step + 1,
         clipped_mass=clipped,

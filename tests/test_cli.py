@@ -104,6 +104,26 @@ class TestSimulate:
         assert err.startswith("error: delta * h^2 must be finite, got delta = 1e+305 and h = 50")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "grid_and_delta, message",
+        [
+            ("grid.length = 1000\nparams.delta = 1e305\n",
+             "error: delta * h^2 must be finite, got delta = 1e+305 and h = 50\n"),
+            ("grid.length = 1e-20\nparams.delta = 1e-300\n",
+             "error: delta * h^2 underflows to 0, got delta = 1e-300 and h = 5e-22\n"),
+        ],
+    )
+    def test_failed_initial_solve_leaves_no_output(self, tmp_path, capsys, grid_and_delta, message):
+        text = HOMOGENEOUS.replace("grid.n_cells = 32", "grid.n_cells = 20").replace(
+            "initial.u0.profile = constant", "initial.u0.profile = cosine-bump"
+        )
+        cfg = write_config(tmp_path, text + grid_and_delta)
+        out = tmp_path / "o"
+        code = main(["simulate", cfg, "--out", str(out), "--snapshot-every", "0.01"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_snapshots_written_and_loadable(self, tmp_path):
         cfg = write_config(tmp_path, HOMOGENEOUS)
         out = tmp_path / "snaps"

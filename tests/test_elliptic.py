@@ -248,6 +248,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             elliptic.solve_w_values(source, (50.0,), 1e305)
 
+    def test_1d_underflowing_delta_h_squared_is_named(self):
+        # delta*h^2 = 2.5e-343 rounds to 0: the exact w is finite (mean(b)/delta ~ 5e299),
+        # but the solve would return inf
+        source = np.random.default_rng(0).random(20)
+        message = r"^delta \* h\^2 underflows to 0, got delta = 1e-300 and h = 5e-22$"
+        with pytest.raises(ValueError, match=message):
+            elliptic.solve_w_values(source, (5e-22,), 1e-300)
+        w = elliptic.solve_w_values(source, (5e-12,), 1e-300)  # delta*h^2 subnormal, not 0
+        assert np.isfinite(w).all()
+
     def test_residual_definition(self):
         spec = GridSpec.interval(32)
         source = random_source(spec, 13)

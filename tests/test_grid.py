@@ -10,8 +10,9 @@ from arcsim.grid import (
     ScalarField,
     cell_centers,
     div_u_grad_values,
+    drift_diffusion_laplacian_values,
     drift_diffusion_values,
-    face_difference_peaks,
+    face_differences,
     grad_sq_integral,
     integrate,
     laplacian_values,
@@ -210,6 +211,38 @@ class TestDriftDiffusion:
         spec = GridSpec.interval(8)
         with pytest.raises(ValueError):
             drift_diffusion_values(np.ones(spec.shape), np.ones(spec.shape), spec.spacing, "qick")
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=grids, scheme=st.sampled_from(["central", "upwind"]), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equals_axis_differences(self, spec, scheme, seed):
+        # the flattened face arrays against the same arithmetic on np.diff along each axis
+        rng = np.random.default_rng(seed)
+        u = 5.0 * rng.random(spec.shape)
+        v = rng.random(spec.shape)
+        phi = rng.uniform(-3.0, 3.0, spec.shape)
+        expected_u = expected_v = None
+        for axis, h in enumerate(spec.spacing):
+            lo = u[(slice(None),) * axis + (slice(None, -1),)]
+            hi = u[(slice(None),) * axis + (slice(1, None),)]
+            dphi = np.diff(phi, axis=axis)
+            face = (lo + hi) * 0.5 if scheme == "central" else np.where(dphi >= 0.0, lo, hi)
+            pad = [(0, 0)] * spec.dim
+            pad[axis] = (1, 1)
+            div_u = np.diff(np.pad((hi - lo) - face * dphi, pad), axis=axis) * (1.0 / (h * h))
+            div_v = np.diff(np.pad(np.diff(v, axis=axis), pad), axis=axis) * (1.0 / (h * h))
+            expected_u = div_u if expected_u is None else expected_u + div_u
+            expected_v = div_v if expected_v is None else expected_v + div_v
+        fused = drift_diffusion_values(u, phi, spec.spacing, scheme)
+        both = drift_diffusion_laplacian_values(u, v, face_differences(phi), spec.spacing, scheme)
+        assert both.shape == (2, *spec.shape)
+        for got, expected in ((fused, expected_u), (both[0], expected_u),
+                              (laplacian_values(v, spec.spacing), expected_v), (both[1], expected_v)):
+            assert got.tobytes() == expected.tobytes()
+
+
+def face_difference_peaks(values):
+    """Largest |difference| across an interior face per axis, as stable_dt takes it."""
+    return [float(np.abs(diff).max()) for diff in face_differences(values)]
 
 
 class TestFaceDifferencePeaks:

@@ -1,18 +1,29 @@
 """Time-stepping tests: step-size control, conservation, comparison bounds, termination."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcsim import elliptic, grid, stepper
-from arcsim.grid import GridSpec, ScalarField, cell_centers, integrate
+from arcsim.grid import (
+    GridSpec,
+    ScalarField,
+    cell_centers,
+    drift_diffusion_values,
+    integrate,
+    laplacian_values,
+)
 from arcsim.kinetics import ModelParams, f_of, g_of
 from arcsim.stepper import (
     BLOWUP_FLAGGED,
     BREAKDOWN,
     COMPLETED,
     DT_UNDERFLOW,
+    Forcing,
     NumericalBreakdownError,
     RunConfig,
     SimState,
@@ -183,6 +194,23 @@ class TestStep:
         with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError):
             step(state, params, 1e308)  # overflows the boundary cells to inf
 
+    def test_nonfinite_v_with_negative_u_is_a_breakdown(self):
+        # an oversized step drives u negative while the forcing puts a NaN in v alone:
+        # u is clipped as usual, and the NaN ends the step as a breakdown
+        spec = GridSpec.interval(32)
+        params = make_params(chi=4.0)
+        x = cell_centers(spec)[0]
+        state = SimState(
+            u=ScalarField(spec, 0.01 + 0.99 * (x < 0.5)),
+            v=ScalarField(spec, np.exp(-20.0 * (x - 0.5) ** 2)),
+            w=ScalarField.full(spec, 0.0),
+            t=0.0,
+            step=0,
+        )
+        nan_in_v = Forcing(v=lambda c, t: np.where(c[0] > 0.9, np.nan, 0.0))
+        with pytest.raises(NumericalBreakdownError, match="non-finite"):
+            step(state, params, 50.0 * stable_dt(state, params), forcing=nan_in_v)
+
     @pytest.mark.parametrize("spec", [GridSpec.interval(8), GridSpec.rectangle((6, 5))])
     def test_nonfinite_repellent_source_raises(self, spec):
         # u itself is finite, but g(u) = u*(u+1) overflows: the solve must not see it
@@ -235,6 +263,114 @@ class TestStep:
         for a, b in zip(alone, states):
             for name in ("u", "v", "w"):
                 assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+
+
+def reference_stable_dt(state, params, dt_safety):
+    """The step bound formed from its own drift, as before the drift was shared with the step."""
+    spacing = state.u.spec.spacing
+    drift = params.chi * state.v.values - params.xi * state.w.values
+    adv_bound = np.inf
+    for axis, h in enumerate(spacing):
+        peak = float(np.max(np.abs(np.diff(drift, axis=axis)))) / h
+        if peak > 0.0:
+            adv_bound = min(adv_bound, h / peak)
+    return dt_safety * min(0.5 / sum(1.0 / (h * h) for h in spacing), adv_bound)
+
+
+def reference_step(state, params, dt, positivity_mode, forcing):
+    """One explicit step composed of the drift-diffusion flux, the Laplacian and the kinetics."""
+    spec = state.u.spec
+    u, v = state.u.values, state.v.values
+    drift = params.chi * v - params.xi * state.w.values
+    scheme = "upwind" if positivity_mode == "upwind" else "central"
+    u_new = drift_diffusion_values(u, drift, spec.spacing, scheme)
+    v_new = laplacian_values(v, spec.spacing)
+    v_new -= f_of(u, params) * v
+    if forcing is not None:
+        u_new += forcing.u(cell_centers(spec), state.t)
+        v_new += forcing.v(cell_centers(spec), state.t)
+    u_new = u_new * dt + u
+    v_new = v_new * dt + v
+    clipped = state.clipped_mass
+    if u_new.min() < 0.0:
+        clipped += float(-u_new[u_new < 0.0].sum()) * spec.cell_volume
+        u_new = np.maximum(u_new, 0.0)
+    v_new = np.maximum(v_new, 0.0)
+    t_new = state.t + dt
+    source = g_of(u_new, params)
+    if forcing is not None:
+        source = source + forcing.w_source(cell_centers(spec), t_new)
+    w_new = elliptic.solve_w_values(source, spec.spacing, params.delta)
+    return u_new, v_new, w_new, t_new, clipped
+
+
+# a forcing with every term nonzero and varying in time, on either dimension
+WAVY = Forcing(
+    u=lambda c, t: 0.3 * np.cos(3.0 * c[0] + t),
+    v=lambda c, t: 0.2 * np.sin(2.0 * c[-1] - t),
+    w_source=lambda c, t: 0.5 + 0.25 * np.cos(c[0] * c[-1] + t),
+)
+
+
+class TestStepAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_cells=st.lists(st.integers(3, 30), min_size=1, max_size=2),
+        lengths=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        coefficients=st.tuples(st.floats(0.01, 20.0), st.floats(0.01, 20.0)),
+        other=st.tuples(st.floats(0.01, 20.0), st.floats(0.01, 20.0)),
+        mode=st.sampled_from(["clip", "upwind"]),
+        forced=st.booleans(),
+        path=st.sampled_from(["bound first", "no bound", "stale coefficients", "replaced v"]),
+        stretch=st.floats(0.25, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_the_composed_step(
+        self, n_cells, lengths, coefficients, other, mode, forced, path, stretch, seed
+    ):
+        # the step that reuses stable_dt's drift (or forms its own) against the
+        # step composed from the operators; stretch > 1 oversizes dt, so u and v clip
+        spec = GridSpec(len(n_cells), tuple(n_cells), lengths[: len(n_cells)])
+        params = make_params(chi=coefficients[0], xi=coefficients[1], n=spec.dim)
+        rng = np.random.default_rng(seed)
+        state = SimState(
+            u=ScalarField(spec, 3.0 * rng.random(spec.shape)),
+            v=ScalarField(spec, 2.0 * rng.random(spec.shape)),
+            w=ScalarField(spec, rng.random(spec.shape)),
+            t=float(rng.random()),
+            step=3,
+            clipped_mass=0.25,
+        )
+        forcing = WAVY if forced else None
+        dt = reference_stable_dt(state, params, 0.4)
+
+        if path == "bound first":
+            assert stable_dt(state, params, 0.4) == dt
+        elif path == "stale coefficients":
+            stale = make_params(chi=other[0], xi=other[1], n=spec.dim)
+            assert stable_dt(state, stale, 0.4) == reference_stable_dt(state, stale, 0.4)
+        elif path == "replaced v":
+            assert stable_dt(state, params, 0.4) == dt
+            state.v = ScalarField(spec, 2.0 * rng.random(spec.shape))
+        dt *= stretch
+
+        expected = reference_step(state, params, dt, mode, forcing)
+        new = step(state, params, dt, positivity_mode=mode, forcing=forcing)
+        for got, want in zip((new.u.values, new.v.values, new.w.values), expected):
+            assert got.shape == spec.shape
+            assert got.tobytes() == want.tobytes()
+        assert (new.t, new.clipped_mass, new.step) == (expected[3], expected[4], 4)
+
+    def test_cached_drift_is_neither_compared_nor_printed(self):
+        spec = GridSpec.interval(8)
+        params = make_params()
+        fresh = homogeneous_state(spec, params)
+        bounded = homogeneous_state(spec, params)
+        stable_dt(bounded, params)
+        assert bounded._drift is not None and fresh._drift is None
+        assert repr(bounded) == repr(fresh)
+        (drift,) = [f for f in dataclasses.fields(SimState) if f.name == "_drift"]
+        assert not drift.compare and not drift.init
 
 
 class TestRun:
