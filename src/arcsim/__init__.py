@@ -13,8 +13,6 @@ from .elliptic import relative_residual, solve_w_values
 from .grid import (
     GridSpec,
     ScalarField,
-    div_u_grad_values,
-    drift_diffusion_values,
     grad_sq_integral,
     integrate,
     laplacian_values,
@@ -44,8 +42,6 @@ __all__ = [
     "ScalarField",
     "integrate",
     "laplacian_values",
-    "div_u_grad_values",
-    "drift_diffusion_values",
     "grad_sq_integral",
     "lp_norm",
     "sup_norm",

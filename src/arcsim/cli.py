@@ -52,6 +52,15 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _check_out(path: str) -> None:
+    """Reject an output directory that cannot be made: its nearest existing path is no directory."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ValueError(f"--out {path}: {existing} is not a directory")
+
+
 def _load_config(path: str):
     with open(path) as fh:
         return cfg.parse_config(fh.read())
@@ -101,6 +110,7 @@ def cmd_simulate(args) -> int:
     values = _load_config(args.config)
     run_config, prefix = cfg.build_run_config(values)
     out = args.out  # made when the first file is written, so a failed start leaves none
+    _check_out(out)
     _print_warnings(_hypotheses(run_config))
 
     next_snapshot = [0.0]
@@ -281,10 +291,7 @@ def main(argv=None) -> int:
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

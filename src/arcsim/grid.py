@@ -60,6 +60,11 @@ class GridSpec:
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.length, self.n_cells))
 
+    @cached_property
+    def diffusive_bound(self) -> float:
+        """Explicit diffusive step bound 1/(2*sum(1/h^2)): h^2/(2*dim) on equal spacings."""
+        return 0.5 / sum(1.0 / (h * h) for h in self.spacing)
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.n_cells
@@ -183,22 +188,6 @@ def axis_operators(shape: tuple[int, ...]) -> tuple[AxisOperators, ...]:
     return tuple(axes)
 
 
-@dataclass(frozen=True)
-class FaceOperators:
-    """Face tables of one grid, 1/h^2 per axis, and its diffusive step bound 1/(2*sum(1/h^2))."""
-
-    axes: tuple[AxisOperators, ...]
-    inv_h2: tuple[float, ...]
-    diffusive_bound: float
-
-
-@lru_cache(maxsize=64)
-def face_operators(shape: tuple[int, ...], spacing: tuple[float, ...]) -> FaceOperators:
-    """Face tables for fields of ``shape`` on ``spacing``; cached and immutable."""
-    inv_h2 = tuple(1.0 / (h * h) for h in spacing)
-    return FaceOperators(axis_operators(shape), inv_h2, 0.5 / sum(inv_h2))
-
-
 def _differences(flat: np.ndarray):
     """Face flux of a flattened field: its difference across each interior face."""
 
@@ -214,19 +203,19 @@ def _flux_divergence(
     """Sum over axes of the divergence of an interior-face flux; boundary faces carry zero.
 
     ``face_flux(ax, out)`` writes h times the flux across the interior faces
-    of axis ``ax`` into ``out``, so one 1/h^2 scales each axis's divergence.
-    With ``rows``, ``out`` holds that many fluxes (shape ``rows`` + faces) and
-    so does the result (shape ``rows + shape``), each row as if alone.
+    of axis ``ax`` (one of :func:`axis_operators` of ``shape``) into ``out``,
+    so 1/(h*h) of that axis's spacing scales its divergence. With ``rows``,
+    ``out`` holds that many fluxes (shape ``rows`` + faces) and so does the
+    result (shape ``rows + shape``), each row as if alone.
     """
-    ops = face_operators(shape, spacing)
     total = None
-    for ax, inv_h2 in zip(ops.axes, ops.inv_h2):
+    for ax, h in zip(axis_operators(shape), spacing):
         faces = np.zeros(rows + (ax.n_faces,))
         face_flux(ax, faces[..., ax.interior])
         if ax.wrap is not None:
             faces[..., ax.wrap] = 0.0
         div = faces[..., ax.hi] - faces[..., ax.lo]
-        div *= inv_h2
+        div *= 1.0 / (h * h)
         if total is None:
             total = div
         else:
@@ -250,15 +239,18 @@ def face_differences(values: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _u_face(lo: np.ndarray, hi: np.ndarray, dphi: np.ndarray, scheme: str) -> np.ndarray:
-    """Face value of u: the cell mean ("central") or the donor cell of velocity +grad(phi)."""
+def _taxis(lo: np.ndarray, hi: np.ndarray, dphi: np.ndarray, scheme: str) -> np.ndarray:
+    """Taxis face flux u_face * dphi as a new array; u_face is the cell mean ("central")
+    or the donor cell of velocity +grad(phi) ("upwind")."""
     if scheme == "central":
         face = lo + hi
         face *= 0.5
-        return face
-    if scheme == "upwind":
-        return np.where(dphi >= 0.0, lo, hi)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    elif scheme == "upwind":
+        face = np.where(dphi >= 0.0, lo, hi)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    face *= dphi
+    return face
 
 
 def laplacian_values(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
@@ -286,11 +278,10 @@ def div_u_grad_values(
     positivity near steep fronts.
     """
     u_flat = u.ravel()
-    phi_flat = phi.ravel()
+    dphis = face_differences(phi)
 
     def flux(ax, out):
-        dphi = phi_flat[ax.hi] - phi_flat[ax.lo]
-        np.multiply(_u_face(u_flat[ax.lo], u_flat[ax.hi], dphi, scheme), dphi, out=out)
+        out[...] = _taxis(u_flat[ax.lo], u_flat[ax.hi], dphis[ax.axis], scheme)
 
     return _flux_divergence(flux, u.shape, spacing)
 
@@ -301,9 +292,7 @@ def _drift_flux(u_flat: np.ndarray, dphis: tuple[np.ndarray, ...], scheme: str):
     def flux(ax, out):
         lo = u_flat[ax.lo]
         hi = u_flat[ax.hi]
-        dphi = dphis[ax.axis]
-        drift = _u_face(lo, hi, dphi, scheme)
-        drift *= dphi
+        drift = _taxis(lo, hi, dphis[ax.axis], scheme)
         np.subtract(hi, lo, out=out)
         out -= drift
 

@@ -49,7 +49,6 @@ from .grid import (  # noqa: F401  (div_u_grad_values, laplacian_values: binding
     div_u_grad_values,
     drift_diffusion_laplacian_values,
     face_differences,
-    face_operators,
     laplacian_values,
 )
 from .kinetics import ModelParams, f_of, g_of
@@ -192,8 +191,7 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
         peak = float(np.abs(dphi).max()) / h
         if peak > 0.0:
             adv_bound = min(adv_bound, h / peak)
-    diff_bound = face_operators(state.u.spec.shape, spacing).diffusive_bound
-    dt = dt_safety * min(diff_bound, adv_bound)
+    dt = dt_safety * min(state.u.spec.diffusive_bound, adv_bound)
     if dt < DT_UNDERFLOW:
         raise NumericalBreakdownError(f"stable step size underflow: dt = {dt:.3e}", dt)
     return dt

@@ -11,7 +11,6 @@ pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "threshold_constant",
@@ -28,8 +27,6 @@ __all__ = [
     "COMPARISON_S_MAX",
     "MATCHED_S_MAX",
     "CURVE_DIMENSIONS",
-    "TheoryReport",
-    "theory_report",
 ]
 
 # s-domains over which the two comparison figures are tabulated, per dimension
@@ -217,11 +214,12 @@ def matched_p_curves(n: int, s: float) -> tuple[float, float]:
     return _MATCHED_LOGISTIC[n](s), repulsion_curve(s, n)
 
 
-def crossover_abscissa(n: int, tol: float = 1e-10) -> float:
+def crossover_abscissa(n: int) -> float:
     """Abscissa where the matched logistic and repulsion curves intersect.
 
     Below it the two stabilization demands are comparable; above it the
-    logistic one grows much faster. Found by bisection on (1e-6, 1).
+    logistic one grows much faster. Found by bisection on (1e-6, 1) to a
+    bracket narrower than 1e-10.
     """
     if n not in _MATCHED_LOGISTIC:
         raise ValueError(f"crossover tabulated for n in {CURVE_DIMENSIONS}, got {n}")
@@ -238,7 +236,7 @@ def crossover_abscissa(n: int, tol: float = 1e-10) -> float:
         return hi
     if g_lo * g_hi > 0.0:
         raise ValueError(f"no sign change on ({lo}, {hi}) for n={n}; curve data inconsistent")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         g_mid = gap(mid)
         if g_mid == 0.0:
@@ -248,45 +246,3 @@ def crossover_abscissa(n: int, tol: float = 1e-10) -> float:
         else:
             lo, g_lo = mid, g_mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class TheoryReport:
-    """All explicit constants of the theory evaluated at one (n, p, l, s)."""
-
-    n: int
-    p: float
-    threshold_const: float
-    xi_min: float
-    critical_coeff: float
-    production_exp: float | None  # absent for linear production
-    absorption_exp: float
-    p_range: tuple[float, float]
-    alpha_range: tuple[float, float]
-
-    def __post_init__(self):
-        if self.threshold_const < 0.0:
-            raise ValueError("threshold constant must be >= 0")
-        if (self.threshold_const == 0.0) != (self.n in (1, 2)):
-            raise ValueError("threshold constant vanishes exactly in dimensions 1 and 2")
-        for name in ("production_exp", "absorption_exp"):
-            val = getattr(self, name)
-            if val is not None and not 0.0 < val < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {val}")
-
-
-def theory_report(n: int, p: float, l: float = 1.0, chi_v0_sup: float = 0.0) -> TheoryReport:
-    """Assemble a :class:`TheoryReport`; p must exceed max(1, n/2) and the
-    production-admissible lower bound."""
-    n = _check_n(n)
-    return TheoryReport(
-        n=n,
-        p=p,
-        threshold_const=threshold_constant(p, n),
-        xi_min=xi_threshold(p, n, chi_v0_sup),
-        critical_coeff=critical_coefficient(n),
-        production_exp=None if l == 1.0 else production_exponent(l, n, p),
-        absorption_exp=absorption_exponent(n, p),
-        p_range=p_admissible_range(l, n),
-        alpha_range=(0.0, alpha_upper_bound(n)),
-    )

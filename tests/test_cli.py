@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from arcsim import theory
+from arcsim import cli, theory
 from arcsim.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from arcsim.grid import load_snapshot
 
@@ -150,6 +150,36 @@ class TestSimulate:
         assert main(["simulate", cfg, "--out", str(a)]) == EXIT_OK
         assert main(["simulate", cfg, "--out", str(b)]) == EXIT_OK
         assert (a / "homo_diagnostics.csv").read_bytes() == (b / "homo_diagnostics.csv").read_bytes()
+
+
+class TestOutUnderAFile:
+    @pytest.mark.parametrize("below", [(), ("sub",), ("sub", "dir")])
+    def test_simulate_fails_by_name_before_the_run(self, tmp_path, capsys, monkeypatch, below):
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the run started"))
+        before = sorted(tmp_path.rglob("*"))
+        out = blocker.joinpath(*below)
+        code = main(["simulate", cfg, "--out", str(out), "--snapshot-every", "0.01"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", [("figures", "fig1"), ("sweep", "CFG", "--xi", "1.0")])
+    def test_other_commands_name_the_failure(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        argv = [cfg if arg == "CFG" else arg for arg in command]
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert not out.exists()
 
 
 class TestValidateConfig:

@@ -86,7 +86,10 @@ def test_no_code_path_loads_scipy():
         "    assert termination == arcsim.COMPLETED and state.step > 0, termination\n"
         "result = arcsim.mms.run_convergence(3, base_cells=8, t_end=1e-3)\n"
         "assert len(result.errors) == 3, result\n"
-        "arcsim.theory.theory_report(3, 2.0)\n"
+        "t = arcsim.theory\n"
+        "t.threshold_constant(2.0, 3), t.xi_threshold(2.0, 3, 1.0), t.critical_coefficient(3)\n"
+        "t.production_exponent(2.0, 3, 3.0), t.absorption_exponent(3, 2.0)\n"
+        "t.p_admissible_range(2.0, 3), t.alpha_upper_bound(3)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}

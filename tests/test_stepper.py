@@ -244,7 +244,7 @@ class TestStep:
             return stepper.initial_state(RunConfig(spec, params, u0, v0, t_end=1.0))
 
         def clear_caches():
-            grid.face_operators.cache_clear()
+            grid.axis_operators.cache_clear()
             elliptic._solver.cache_clear()
 
         alone = []

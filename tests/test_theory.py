@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcsim import theory
 
@@ -271,37 +273,51 @@ class TestCrossover:
 
 
 class TestTheoryReport:
+    """The constants of the theory, each evaluated at one (n, p, l, s) point."""
+
     def test_linear_production_report(self):
-        report = theory.theory_report(3, 2.0, l=1.0, chi_v0_sup=1.0)
-        assert report.threshold_const == pytest.approx(2432.0 / 27.0, rel=1e-14)
-        assert report.production_exp is None
-        assert 0.0 < report.absorption_exp < 1.0
-        assert report.alpha_range == (0.0, pytest.approx(5.0 / 6.0))
-        assert report.xi_min == pytest.approx(theory.xi_threshold(2.0, 3, 1.0))
+        assert theory.threshold_constant(2.0, 3) == pytest.approx(2432.0 / 27.0, rel=1e-14)
+        with pytest.raises(ValueError, match="l must be > 1"):
+            theory.production_exponent(1.0, 3, 2.0)  # linear production has no such exponent
+        assert 0.0 < theory.absorption_exponent(3, 2.0) < 1.0
+        assert theory.alpha_upper_bound(3) == pytest.approx(5.0 / 6.0)
+        assert theory.xi_threshold(2.0, 3, 1.0) == pytest.approx(math.sqrt(2.0 * 2432.0 / 27.0))
 
     def test_superlinear_report(self):
-        report = theory.theory_report(2, 4.0, l=2.0, chi_v0_sup=0.5)
-        assert report.threshold_const == 0.0
-        assert report.production_exp == pytest.approx(0.5)
-        assert report.p_range[0] == pytest.approx(2.0)
+        assert theory.threshold_constant(4.0, 2) == 0.0
+        assert theory.production_exponent(2.0, 2, 4.0) == pytest.approx(0.5)
+        assert theory.p_admissible_range(2.0, 2)[0] == pytest.approx(2.0)
 
     def test_nan_p_named(self):
         with pytest.raises(ValueError, match="p must be > 1 and finite, got nan"):
-            theory.theory_report(3, math.nan)
+            theory.threshold_constant(math.nan, 3)
 
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            theory.TheoryReport(
-                n=3,
-                p=2.0,
-                threshold_const=0.0,  # must be positive for n = 3
-                xi_min=0.0,
-                critical_coeff=1.0,
-                production_exp=None,
-                absorption_exp=0.5,
-                p_range=(1.0, math.inf),
-                alpha_range=(0.0, 5.0 / 6.0),
-            )
+
+@st.composite
+def admissible_points(draw):
+    """(n, l, p): n in 1..8, l in {1} or (1, 3], p in (max(1, n/2, p-range lower bound), 1e3]."""
+    n = draw(st.integers(1, 8))
+    l = draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0, exclude_min=True)))
+    lo = max(1.0, n / 2.0, theory.p_admissible_range(l, n)[0])
+    return n, l, draw(st.floats(lo, 1e3, exclude_min=True))
+
+
+class TestInvariantsOverAdmissiblePoints:
+    @settings(max_examples=300, deadline=None)
+    @given(point=admissible_points())
+    def test_threshold_constant_vanishes_exactly_below_dimension_three(self, point):
+        n, _, p = point
+        const = theory.threshold_constant(p, n)
+        assert const >= 0.0
+        assert (const == 0.0) == (n <= 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=admissible_points())
+    def test_exponents_in_open_unit_interval(self, point):
+        n, l, p = point
+        assert 0.0 < theory.absorption_exponent(n, p) < 1.0
+        if l > 1.0:
+            assert 0.0 < theory.production_exponent(l, n, p) < 1.0
 
 
 class TestNonFiniteArguments:
