@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical breakdown,
 3 verification failure. All output files land under the --out directory.
+
+simulate --snapshot-every hands each u/v/w snapshot set to one writer process,
+forked at the first set, so the text formatting runs on another CPU while the run
+steps; a failed write ends the run with its OSError before the diagnostics CSV.
 """
 
 from __future__ import annotations
@@ -77,14 +81,91 @@ def _print_warnings(report):
         print(f"warning: {message}")
 
 
-def _simulate(values, run_config, csv_path, callback=None):
+def _simulate(values, run_config, csv_path, callback=None, before_csv=lambda: None):
     """Run one config; write its diagnostics CSV with the config and termination as metadata."""
     records, _, termination = run(run_config, callback=callback)
+    before_csv()
     metadata = {key: cfg.format_value(v) for key, v in values.items()}
     metadata["termination"] = termination
     _ensure_out(os.path.dirname(csv_path))
     diagnostics.write_csv(records, csv_path, metadata)
     return records, termination
+
+
+def _write_snapshot_set(t, files):
+    for path, field in files:
+        save_snapshot(field, t, path)
+
+
+def _snapshot_writer(conn, parent_end):
+    """The forked writer: write each (t, files) set received until None, then send None; or
+    send the first failed write's OSError and stop. A closed pipe ends it quietly."""
+    import signal
+
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the parent, which ends this
+    try:
+        while (snapshot_set := conn.recv()) is not None:
+            try:
+                _write_snapshot_set(*snapshot_set)
+            except OSError as exc:
+                return conn.send(exc)
+        conn.send(None)
+    except (EOFError, BrokenPipeError):  # the parent stopped early and closed its end
+        pass
+
+
+class _SnapshotWriter:
+    """Hands snapshot sets to one process forked at the first set, so formatting overlaps the
+    stepping; without ``fork`` each set is written in-process. The process only formats and
+    writes text, so it never needs the BLAS threads that a fork does not copy."""
+
+    process = conn = None
+
+    def send(self, t, files):
+        if self.process is None:
+            import multiprocessing
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                return _write_snapshot_set(t, files)
+            ctx = multiprocessing.get_context("fork")
+            self.conn, child_end = ctx.Pipe()
+            self.process = ctx.Process(target=_snapshot_writer, args=(child_end, self.conn))
+            self.process.start()
+            child_end.close()
+        self._send((t, files))
+
+    def finish(self):
+        """Return once every set is written; raise the first failed write's OSError."""
+        if self.process is not None:
+            self._send(None)
+            if (error := self._received()) is not None:
+                raise error
+
+    def close(self):
+        """End the process on any path: close the pipe, wait a bounded time, then kill it."""
+        if self.process is not None:
+            self.conn.close()
+            self.process.join(timeout=10.0)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(timeout=1.0)
+
+    def _send(self, message):
+        """Send, unless the process has stopped: then raise its error."""
+        try:
+            if not self.conn.poll():
+                return self.conn.send(message)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        raise self._received()
+
+    def _received(self):
+        try:
+            return self.conn.recv()
+        except (EOFError, ConnectionResetError):  # it died without a word: killed, or a bug
+            self.process.join(timeout=10.0)
+            return OSError(f"snapshot writer ended with exit code {self.process.exitcode}")
 
 
 def _write_table(path, header, rows):
@@ -114,18 +195,22 @@ def cmd_simulate(args) -> int:
     _print_warnings(_hypotheses(run_config))
 
     next_snapshot = [0.0]
+    writer = _SnapshotWriter()
 
     def callback(state, rec):
         if args.snapshot_every == 0.0 or state.t < next_snapshot[0]:
             return
         _ensure_out(out)
-        for name, field in (("u", state.u), ("v", state.v), ("w", state.w)):
-            path = os.path.join(out, f"{prefix}_{name}_{state.step:08d}.dat")
-            save_snapshot(field, state.t, path)
+        fields = (("u", state.u), ("v", state.v), ("w", state.w))
+        writer.send(state.t, [(os.path.join(out, f"{prefix}_{name}_{state.step:08d}.dat"), field)
+                              for name, field in fields])
         next_snapshot[0] = state.t + args.snapshot_every
 
     csv_path = os.path.join(out, f"{prefix}_diagnostics.csv")
-    records, termination = _simulate(values, run_config, csv_path, callback)
+    try:
+        records, termination = _simulate(values, run_config, csv_path, callback, writer.finish)
+    finally:
+        writer.close()
 
     print(f"termination: {termination}")
     if records:

@@ -16,6 +16,7 @@ reflected ghost value is its own (the ghost convention of the operators).
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ class DiagRecord:
     w_residual: float
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(v) for v in dataclasses.astuple(self))
+        return all(np.isfinite(v) for v in _field_values(self))
 
 
 def record(state, config, dt_current: float, w_source=None) -> DiagRecord:
@@ -111,6 +112,7 @@ def record(state, config, dt_current: float, w_source=None) -> DiagRecord:
 
 
 _FIELDS = [f.name for f in dataclasses.fields(DiagRecord)]
+_field_values = operator.attrgetter(*_FIELDS)  # a record's values in field order, not deep-copied
 
 
 def write_csv(records, path, metadata: dict | None = None) -> None:
@@ -121,4 +123,4 @@ def write_csv(records, path, metadata: dict | None = None) -> None:
         fh.write(",".join(_FIELDS) + "\n")
         row = ",".join(["%.17g"] * len(_FIELDS)) + "\n"
         for rec in records:
-            fh.write(row % dataclasses.astuple(rec))
+            fh.write(row % _field_values(rec))

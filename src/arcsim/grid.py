@@ -377,13 +377,13 @@ def save_snapshot(f: ScalarField, time: float, path) -> None:
     spec = f.spec
     values = tuple(f.values.ravel().tolist())
     rows, rest = divmod(len(values), _VALUES_PER_LINE)
-    body = (" ".join(["%.17g"] * _VALUES_PER_LINE) + "\n") * rows
-    body += " ".join(["%.17g"] * rest) + "\n" if rest else ""
-    with open(path, "w") as fh:
-        fh.write(f"dim {spec.dim}\n")
-        fh.write("n_cells " + " ".join(str(n) for n in spec.n_cells) + "\n")
-        fh.write("length " + " ".join(f"{L:.17g}" for L in spec.length) + "\n")
-        fh.write(f"time {time:.17g}\n")
+    body = (b" ".join([b"%.17g"] * _VALUES_PER_LINE) + b"\n") * rows
+    body += b" ".join([b"%.17g"] * rest) + b"\n" if rest else b""
+    with open(path, "wb") as fh:
+        fh.write(f"dim {spec.dim}\n".encode())
+        fh.write(("n_cells " + " ".join(str(n) for n in spec.n_cells) + "\n").encode())
+        fh.write(("length " + " ".join(f"{L:.17g}" for L in spec.length) + "\n").encode())
+        fh.write(f"time {time:.17g}\n".encode())
         fh.write(body % values)
 
 

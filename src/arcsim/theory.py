@@ -114,8 +114,8 @@ def critical_coefficient(n: int) -> float:
 
 def p_admissible_range(l: float, n: int) -> tuple[float, float]:
     """Open interval of analysis exponents p compatible with production power l."""
-    if l < 1.0:
-        raise ValueError(f"l must be >= 1, got {l}")
+    if not 1.0 <= l < math.inf:
+        raise ValueError(f"l must be >= 1 and finite, got {l}")
     n = _check_n(n)
     return (max(l, l * (n * l - 2.0) / n), math.inf)
 
@@ -127,11 +127,12 @@ def production_exponent(l: float, n: int, p: float) -> float:
     and satisfies (p+l)/p times it < 1, which is what makes the production
     term absorbable.
     """
-    if l <= 1.0:
-        raise ValueError(f"l must be > 1, got {l}")
+    if not 1.0 < l < math.inf:
+        raise ValueError(f"l must be > 1 and finite, got {l}")
     lo, _ = p_admissible_range(l, n)
     if p <= lo:
         raise ValueError(f"p={p} outside the admissible range ({lo}, inf)")
+    _check_p(p)
     return (1.0 - 1.0 / l) / (1.0 + 2.0 / (n * p) - 1.0 / p)
 
 
@@ -144,6 +145,7 @@ def absorption_exponent(n: int, p: float) -> float:
     n = _check_n(n)
     if p <= max(1.0, n / 2.0):
         raise ValueError(f"p must exceed max(1, n/2) = {max(1.0, n / 2.0)}, got {p}")
+    _check_p(p)
     return (n * p / 2.0) * (1.0 - 1.0 / p) / (1.0 - n / 2.0 + n * p / 2.0)
 
 

@@ -1,14 +1,21 @@
 """End-to-end command-line tests; commands run in-process through main()."""
 
 import csv
+import errno
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arcsim import cli, theory
-from arcsim.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from arcsim.grid import load_snapshot
+from arcsim import cli, config, theory
+from arcsim.cli import EXIT_BREAKDOWN, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from arcsim.grid import load_snapshot, save_snapshot
+from arcsim.stepper import run
 
 HOMOGENEOUS = """
 grid.dim = 1
@@ -180,6 +187,144 @@ class TestOutUnderAFile:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
         assert not out.exists()
+
+
+SMALL_1D = """
+grid.dim = 1
+grid.n_cells = 17
+initial.u0.profile = cosine-bump
+initial.u0.amplitude = 2.0
+initial.v0.profile = cosine-bump
+initial.v0.amplitude = 1.0
+params.chi = 5.0
+run.t_end = 0.02
+run.output_interval = 0.002
+output.prefix = s1
+"""
+
+SMALL_2D = """
+grid.dim = 2
+grid.n_cells = 6 5
+grid.length = 1.0 1.3
+initial.u0.profile = cosine-bump
+initial.u0.amplitude = 2.0
+initial.u0.center = 0.3 0.6
+initial.u0.width = 0.4 0.5
+initial.v0.profile = cosine-bump
+initial.v0.amplitude = 1.0
+params.chi = 5.0
+run.t_end = 0.02
+run.output_interval = 0.002
+output.prefix = s2
+"""
+
+BREAKDOWN = HOMOGENEOUS.replace("initial.v0.profile = constant",
+                                "initial.v0.profile = cosine-bump") + "params.chi = 1e30\n"
+
+
+def reference_snapshots(cfg, ref_dir):
+    """Every record's u/v/w snapshot, written in-process by save_snapshot; the file names in
+    record order."""
+    run_config, prefix = config.build_run_config(config.parse_config(Path(cfg).read_text()))
+    ref_dir.mkdir()
+    names = []
+
+    def callback(state, rec):
+        for name, field in (("u", state.u), ("v", state.v), ("w", state.w)):
+            names.append(f"{prefix}_{name}_{state.step:08d}.dat")
+            save_snapshot(field, state.t, ref_dir / names[-1])
+
+    run(run_config, callback=callback)
+    return names
+
+
+class TestSnapshotWriter:
+    """simulate --snapshot-every hands its sets to a forked writer process."""
+
+    @pytest.mark.parametrize("text", [SMALL_1D, SMALL_2D], ids=["1d", "2d"])
+    @pytest.mark.parametrize("every, stride", [("1e-9", 1), ("0.005", 3)])
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "without_fork"])
+    def test_bytes_match_save_snapshot_of_the_same_states(
+        self, tmp_path, monkeypatch, text, every, stride, fork
+    ):
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        cfg = write_config(tmp_path, text)
+        names = reference_snapshots(cfg, tmp_path / "ref")
+        sets = [names[i:i + 3] for i in range(0, len(names), 3)]
+        expected = sorted(name for names_of_set in sets[::stride] for name in names_of_set)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out", str(out), "--snapshot-every", every]) == EXIT_OK
+        written = sorted(path.name for path in out.glob("*.dat"))
+        assert written == expected and len(sets) > 6
+        for name in written:
+            assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("which", [0, -1], ids=["first_set", "last_set"])
+    def test_failed_write_is_named_and_writes_no_csv(self, tmp_path, capsys, which):
+        cfg = write_config(tmp_path, SMALL_1D)
+        names = reference_snapshots(cfg, tmp_path / "ref")
+        blocked = tmp_path / "out" / names[::3][which]  # a u snapshot
+        blocked.mkdir(parents=True)
+        code = main(["simulate", cfg, "--out", str(tmp_path / "out"), "--snapshot-every", "1e-9"])
+        reason = str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked)))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "out" / "s1_diagnostics.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the writer runs in-process, where os._exit would end the tests")
+    def test_writer_that_dies_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "save_snapshot", lambda *args: os._exit(3))
+        cfg = write_config(tmp_path, SMALL_1D)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out", str(out), "--snapshot-every", "1e-9"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: snapshot writer ended with exit code 3\n"
+        assert not (out / "s1_diagnostics.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_breakdown_leaves_no_process(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BREAKDOWN)
+        out = tmp_path / "out"
+        code = main(["simulate", cfg, "--out", str(out), "--snapshot-every", "0.01"])
+        assert code == EXIT_BREAKDOWN
+        assert "termination: breakdown" in capsys.readouterr().out
+        assert len(list(out.glob("homo_[uvw]_*.dat"))) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_leaves_no_process(self, tmp_path, monkeypatch):
+        def interrupted(run_config, callback):
+            def stop_after_first_set(state, rec):
+                callback(state, rec)
+                raise KeyboardInterrupt
+
+            return run(run_config, callback=stop_after_first_set)
+
+        monkeypatch.setattr(cli, "run", interrupted)
+        cfg = write_config(tmp_path, SMALL_1D)
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", cfg, "--out", str(tmp_path / "out"), "--snapshot-every", "1e-9"])
+        assert multiprocessing.active_children() == []
+
+    def test_run_without_snapshots_never_loads_multiprocessing(self, tmp_path):
+        """In a fresh interpreter, import arcsim and a simulate without snapshots load no
+        multiprocessing."""
+        cfg = write_config(tmp_path, SMALL_1D)
+        code = (
+            "import sys\n"
+            "import arcsim, arcsim.cli\n"
+            f"argv = ['simulate', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+            "assert arcsim.cli.main([*argv, '--snapshot-every', '0']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestValidateConfig:

@@ -342,3 +342,23 @@ class TestNonFiniteArguments:
     def test_s_rejected(self, curve, s):
         with pytest.raises(ValueError, match=f"s must be >= 0 and finite, got {s}"):
             curve(s)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "exponent",
+        [
+            lambda p: theory.absorption_exponent(3, p),
+            lambda p: theory.production_exponent(2.0, 2, p),
+        ],
+        ids=["absorption", "production"],
+    )
+    def test_exponent_p_rejected(self, exponent, p):
+        with pytest.raises(ValueError, match=f"p.*{p}"):
+            exponent(p)
+
+    @pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf])
+    def test_l_rejected(self, l):
+        with pytest.raises(ValueError, match=f"l must be > 1 and finite, got {l}"):
+            theory.production_exponent(l, 2, 3.0)
+        with pytest.raises(ValueError, match=f"l must be >= 1 and finite, got {l}"):
+            theory.p_admissible_range(l, 2)
