@@ -57,7 +57,10 @@ def _ensure_out(path: str) -> str:
 
 
 def _check_out(path: str) -> None:
-    """Reject an output directory that cannot be made: its nearest existing path is no directory."""
+    """Reject an output directory that cannot be made: an empty path, or one whose nearest
+    existing path is no directory."""
+    if not path:
+        raise ValueError("--out must not be empty")
     existing = path
     while existing and not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -226,6 +229,8 @@ def cmd_simulate(args) -> int:
 def cmd_thresholds(args) -> int:
     for flag, values in (("--n", args.n), ("--p", args.p), ("--s", args.s)):
         _require_values(flag, values)
+    if args.out is not None:
+        _check_out(args.out)
     header = ("n", "p", "s", "threshold_const", "xi_threshold", "critical_coeff")
     rows = []
     for n in args.n:
@@ -249,6 +254,7 @@ def cmd_thresholds(args) -> int:
 def cmd_figures(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    _check_out(args.out)
     out = _ensure_out(args.out)
     if args.variant == "fig1":
         domains, curves = theory.COMPARISON_S_MAX, lambda n, s: (
@@ -282,6 +288,8 @@ def _sweep_worker(task):
 def cmd_sweep(args) -> int:
     import concurrent.futures
 
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     values = _load_config(args.config)
     axes = [(name, vals) for name, vals in (("xi", args.xi), ("chi", args.chi)) if vals is not None]
     if len(axes) != 1:
@@ -297,9 +305,11 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--{axis} values {names[name]!r} and {value!r} both write {name}")
         names[name] = value
 
+    _check_out(args.out)
     out = _ensure_out(args.out)
     rows = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at the first submit: start no more than there are runs
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
         futures = [pool.submit(_sweep_worker, (values, axis, v, os.path.join(out, name)))
                    for name, v in names.items()]
         for value, future in zip(sweep_values, futures):

@@ -154,11 +154,20 @@ def solve_w_values(source: np.ndarray, spacing: tuple[float, ...], delta: float)
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     b = np.asarray(source, dtype=float)
+    return _screened_solve(b, delta, lambda: _solver(b.shape, spacing, delta))
+
+
+def _screened_solve(b: np.ndarray, delta: float, solver) -> np.ndarray:
+    """:func:`solve_w_values` of a float array b for a delta > 0, unchecked.
+
+    ``solver()`` returns the direct solve for b's grid and delta; it is called
+    only for a source that is not constant.
+    """
     if b.flat[0] == b.flat[-1] and b.min() == b.max():
         # constant source (end values screen out most others before two reductions):
         # w = b/delta, exact and bitwise flat, as the stencil annihilates constants
         return b / delta
-    return _solver(b.shape, spacing, delta)(b)
+    return solver()(b)
 
 
 def relative_residual(

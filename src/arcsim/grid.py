@@ -197,30 +197,26 @@ def _differences(flat: np.ndarray):
     return flux
 
 
-def _flux_divergence(
-    face_flux, shape: tuple[int, ...], spacing: tuple[float, ...], rows: tuple[int, ...] = ()
-) -> np.ndarray:
+def _flux_divergence(face_flux, shape: tuple[int, ...], spacing: tuple[float, ...]) -> np.ndarray:
     """Sum over axes of the divergence of an interior-face flux; boundary faces carry zero.
 
     ``face_flux(ax, out)`` writes h times the flux across the interior faces
     of axis ``ax`` (one of :func:`axis_operators` of ``shape``) into ``out``,
-    so 1/(h*h) of that axis's spacing scales its divergence. With ``rows``,
-    ``out`` holds that many fluxes (shape ``rows`` + faces) and so does the
-    result (shape ``rows + shape``), each row as if alone.
+    so 1/(h*h) of that axis's spacing scales its divergence.
     """
     total = None
     for ax, h in zip(axis_operators(shape), spacing):
-        faces = np.zeros(rows + (ax.n_faces,))
-        face_flux(ax, faces[..., ax.interior])
+        faces = np.zeros(ax.n_faces)
+        face_flux(ax, faces[ax.interior])
         if ax.wrap is not None:
-            faces[..., ax.wrap] = 0.0
-        div = faces[..., ax.hi] - faces[..., ax.lo]
+            faces[ax.wrap] = 0.0
+        div = faces[ax.hi] - faces[ax.lo]
         div *= 1.0 / (h * h)
         if total is None:
             total = div
         else:
             total += div
-    return total.reshape(rows + shape)
+    return total.reshape(shape)
 
 
 def face_differences(values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -311,28 +307,6 @@ def drift_diffusion_values(
     round-off, in one pass per axis; ``scheme`` picks u_face as there.
     """
     return _flux_divergence(_drift_flux(u.ravel(), face_differences(phi), scheme), u.shape, spacing)
-
-
-def drift_diffusion_laplacian_values(
-    u: np.ndarray,
-    v: np.ndarray,
-    dphis: tuple[np.ndarray, ...],
-    spacing: tuple[float, ...],
-    scheme: str = "central",
-) -> np.ndarray:
-    """``drift_diffusion_values(u, phi)`` and ``laplacian_values(v)`` stacked, shape (2, *u.shape).
-
-    ``dphis`` is ``face_differences(phi)``. One pass per axis builds both face
-    fluxes in one face array; each row is bitwise what its function returns.
-    """
-    u_flux = _drift_flux(u.ravel(), dphis, scheme)
-    v_flux = _differences(v.ravel())
-
-    def flux(ax, out):
-        u_flux(ax, out[0])
-        v_flux(ax, out[1])
-
-    return _flux_divergence(flux, u.shape, spacing, rows=(2,))
 
 
 def integrate(f: ScalarField) -> float:

@@ -53,7 +53,7 @@ def f_of(s, params: ModelParams):
     s = np.asarray(s, dtype=float)
     if (s < 0.0).any():
         raise ValueError("consumption rate is defined for s >= 0 only")
-    return params.K * s**params.alpha
+    return _f(s, params)
 
 
 def g_of(s, params: ModelParams):
@@ -61,6 +61,16 @@ def g_of(s, params: ModelParams):
     s = np.asarray(s, dtype=float)
     if (s < 0.0).any():
         raise ValueError("production rate is defined for s >= 0 only")
+    return _g(s, params)
+
+
+def _f(s: np.ndarray, params: ModelParams) -> np.ndarray:
+    """:func:`f_of` without its checks, for a float array s >= 0."""
+    return params.K * s**params.alpha
+
+
+def _g(s: np.ndarray, params: ModelParams) -> np.ndarray:
+    """:func:`g_of` without its checks, for a float array s >= 0."""
     if params.l == 1.0:
         return params.gamma * s  # bitwise gamma*s*(s+1)**0.0, without the pow
     return params.gamma * s * (s + 1.0) ** (params.l - 1.0)

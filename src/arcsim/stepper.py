@@ -15,13 +15,25 @@ value u_face: the mean of the two adjacent cells in "clip" mode (second
 order), the donor cell in "upwind" mode. A non-finite u, v or g(u) stops the
 step before the elliptic solve.
 
-Each step forms every quantity once. :func:`stable_dt` leaves the face
-differences of the drift potential chi*v - xi*w on the state it was given,
-tagged with (chi, xi) and the v and w arrays; :func:`step` reuses them when
-these match and forms them itself otherwise. One pass per axis then builds
-the u face flux and the face difference of v in one face array, in the
-arithmetic order of ``drift_diffusion_values`` and ``laplacian_values``, and
-the arrays the step makes become fields without being checked again.
+Each step forms every quantity once, and a chain of states keeps its per-grid
+work in one private workspace, made at its first :func:`stable_dt` or
+:func:`step` and handed from each state to the next. The workspace holds the
+grid constants, the cell centres, the repellent solver for the current delta,
+scratch buffers and one zero-walled face array per axis. :func:`stable_dt`
+leaves the face differences of the drift potential chi*v - xi*w there, keyed
+by (chi, xi) and the v and w arrays; :func:`step` reuses them when these
+match and forms them otherwise. The step returns u and v as the two rows of
+the one new (2, cells) array it computes, so the next step takes both
+fields' face differences in one call; one pass per axis then builds the u
+face flux and the face difference of v, in the arithmetic order of
+``drift_diffusion_values`` and ``laplacian_values``. Every array a state
+exposes is new; only the scratch is reused.
+
+Arguments are checked at the boundary: ``f_of``, ``g_of`` and
+``elliptic.solve_w_values`` check theirs, :class:`RunConfig` checks a run's,
+and the step calls their unchecked kernels, since its u is nonnegative by
+construction. A non-finite u, v or g(u) is found by a sum first (a finite
+sum proves every entry finite) and only then entry by entry.
 
 The step size obeys both the diffusive limit and an advective CFL limit on
 the drift potential. In either mode, negative u or v cells are clipped to
@@ -36,6 +48,7 @@ statement that the solution blows up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,13 +58,12 @@ from . import diagnostics, elliptic
 from .grid import (  # noqa: F401  (div_u_grad_values, laplacian_values: bindings perfbench traces)
     GridSpec,
     ScalarField,
+    axis_operators,
     cell_centers,
     div_u_grad_values,
-    drift_diffusion_laplacian_values,
-    face_differences,
     laplacian_values,
 )
-from .kinetics import ModelParams, f_of, g_of
+from .kinetics import ModelParams, _f, _g, f_of, g_of  # noqa: F401  (f_of: a binding perfbench traces)
 
 __all__ = [
     "COMPLETED",
@@ -87,10 +99,10 @@ class SimState:
     """Snapshot of the evolving triplet (u, v, w) at time t.
 
     ``clipped_mass`` is the cumulative magnitude of u-mass adjusted by
-    positivity clipping; it stays zero on well-resolved runs. ``_drift``
-    holds the face differences of chi*v - xi*w once :func:`stable_dt` or
-    :func:`step` has formed them, tagged with the (chi, xi) and the v and w
-    arrays they came from; it is neither compared nor printed.
+    positivity clipping; it stays zero on well-resolved runs. ``_workspace``
+    is the explicit scheme's per-grid state, made at the first
+    :func:`stable_dt` or :func:`step` and handed from each state to the next;
+    it is neither compared nor printed.
     """
 
     u: ScalarField
@@ -99,7 +111,7 @@ class SimState:
     t: float
     step: int
     clipped_mass: float = 0.0
-    _drift: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _workspace: _Workspace | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -160,21 +172,112 @@ class RunConfig:
             raise ValueError(f"p_diag must be finite and > 1, got {self.p_diag}")
 
 
-def _drift_differences(state: SimState, params: ModelParams) -> tuple[np.ndarray, ...]:
-    """Face differences of the drift potential chi*v - xi*w per axis, formed once per state.
+class _Axis:
+    """One axis of a :class:`_Workspace`: its slices and scratch, every view resolved once.
 
-    They are kept on the state, tagged with (chi, xi) and the identity of the
-    v and w arrays, and formed afresh when any of these differ.
+    Its face array, shape (2, faces) with zero walls, holds the u and v face
+    fluxes; ``interior``, ``u_interior``, ``wrap``, ``faces_hi`` and
+    ``faces_lo`` are views of it, and ``phi_hi``/``phi_lo`` views of the
+    workspace's drift potential. ``dphi`` holds the drift's face differences
+    and ``taxis`` is scratch of the same size.
     """
-    v = state.v.values
-    w = state.w.values
-    tag = (params.chi, params.xi)
-    cached = state._drift
-    if cached is not None and cached[0] == tag and cached[1] is v and cached[2] is w:
-        return cached[3]
-    dphis = face_differences(params.chi * v - params.xi * w)
-    state._drift = (tag, v, w, dphis)
-    return dphis
+
+    __slots__ = ("lo", "hi", "h", "inv_h2", "phi_hi", "phi_lo", "dphi", "dphi_seams", "taxis",
+                 "interior", "u_interior", "wrap", "faces_hi", "faces_lo", "div")
+
+    def __init__(self, ax, h: float, phi: np.ndarray, size: int):
+        self.lo, self.hi, self.h, self.inv_h2 = ax.lo, ax.hi, h, 1.0 / (h * h)
+        self.phi_hi, self.phi_lo = phi[ax.hi], phi[ax.lo]
+        self.dphi = np.empty(self.phi_hi.size)
+        self.dphi_seams = None if ax.seams is None else self.dphi[ax.seams]
+        self.taxis = np.empty(self.phi_hi.size)
+        faces = np.zeros((2, ax.n_faces))
+        self.interior = faces[:, ax.interior]
+        self.u_interior = faces[0, ax.interior]
+        self.wrap = None if ax.wrap is None else faces[:, ax.wrap]
+        self.faces_hi, self.faces_lo = faces[:, ax.hi], faces[:, ax.lo]
+        self.div = np.empty((2, size)) if ax.axis > 0 else None
+
+
+class _Workspace:
+    """The explicit scheme's per-grid state, shared by a chain of states.
+
+    It keeps the grid's constants, the repellent solver for one delta (taken
+    at the first non-constant source), scratch buffers and the per-axis face
+    arrays. Its drift, the face differences of chi*v - xi*w, is valid for the
+    (chi, xi) and the v and w arrays it came from; the stacked (u, v) array of
+    its last step is valid for the two row arrays that step returned. Any
+    other state, coefficient or array forms these afresh, so states that
+    share a workspace may be stepped in any order. It writes only its own
+    scratch, never an array a state exposes; it is not for use by two
+    threads at once.
+    """
+
+    def __init__(self, spec: GridSpec):
+        self.spec = spec
+        self.size = spec.total_cells
+        self.pair_shape = (2, *spec.shape)
+        self.diffusive_bound = spec.diffusive_bound
+        self.cell_volume = spec.cell_volume
+        self.centers = cell_centers(spec)
+        self.chi_v = np.empty(spec.shape)
+        self.phi = np.empty(spec.shape)
+        phi = self.phi.reshape(-1)
+        self.axes = tuple(_Axis(ax, h, phi, self.size)
+                          for ax, h in zip(axis_operators(spec.shape), spec.spacing))
+        self.drift_key = (None,) * 4  # (chi, xi, v, w) of the current drift
+        self.pair_key = (None, None)  # (u, v): the rows of the stacked array ``pair``
+        self.pair = None
+        self.delta = None
+        self.solve = None
+
+    def __reduce__(self):  # the scratch and the solver stay behind: a copy starts afresh
+        return _Workspace, (self.spec,)
+
+    def drift(self, v: np.ndarray, w: np.ndarray, params: ModelParams) -> tuple[_Axis, ...]:
+        """The axes, with ``dphi`` holding the face differences of chi*v - xi*w."""
+        key = self.drift_key
+        chi, xi = params.chi, params.xi
+        if key[2] is not v or key[3] is not w or key[0] != chi or key[1] != xi:
+            np.multiply(v, chi, out=self.chi_v)
+            np.multiply(w, xi, out=self.phi)
+            np.subtract(self.chi_v, self.phi, out=self.phi)
+            for axis in self.axes:
+                np.subtract(axis.phi_hi, axis.phi_lo, out=axis.dphi)
+                if axis.dphi_seams is not None:
+                    axis.dphi_seams.fill(0.0)
+            self.drift_key = (chi, xi, v, w)
+        return self.axes
+
+    def stacked(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u and v as the rows of one (2, cells) array: the last step's, or a new stack."""
+        key = self.pair_key
+        if key[0] is not u or key[1] is not v:
+            self.pair = np.empty((2, self.size))
+            self.pair[0] = u.reshape(-1)
+            self.pair[1] = v.reshape(-1)
+            self.pair_key = (u, v)
+        return self.pair
+
+    def solve_w(self, source: np.ndarray, delta: float) -> np.ndarray:
+        """w from (delta*I - Lap) w = source, as ``elliptic.solve_w_values`` gives it."""
+        if delta != self.delta:
+            self.delta, self.solve = delta, None
+        return elliptic._screened_solve(source, delta, self.solver)
+
+    def solver(self):
+        """The direct solve for ``self.delta``, taken once from the solver cache."""
+        if self.solve is None:
+            self.solve = elliptic._solver(self.spec.shape, self.spec.spacing, self.delta)
+        return self.solve
+
+
+def _workspace(state: SimState) -> _Workspace:
+    """The state's workspace, made at the first :func:`stable_dt` or :func:`step` of a chain."""
+    ws = state._workspace
+    if ws is None or ws.spec is not state.u.spec:
+        ws = state._workspace = _Workspace(state.u.spec)
+    return ws
 
 
 def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> float:
@@ -183,15 +286,15 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
     The diffusive bound is 1/(2*sum(1/h_i^2)), i.e. h^2/(2*dim) on uniform
     spacing; the advective bound is h/max|face gradient of chi*v - xi*w| per
     axis (infinite when the drift is flat). The drift's face differences stay
-    on the state for the :func:`step` that follows.
+    in the workspace for the :func:`step` that follows.
     """
-    spacing = state.u.spec.spacing
+    ws = _workspace(state)
     adv_bound = np.inf
-    for h, dphi in zip(spacing, _drift_differences(state, params)):
-        peak = float(np.abs(dphi).max()) / h
+    for axis in ws.drift(state.v.values, state.w.values, params):
+        peak = float(np.abs(axis.dphi, out=axis.taxis).max()) / axis.h
         if peak > 0.0:
-            adv_bound = min(adv_bound, h / peak)
-    dt = dt_safety * min(state.u.spec.diffusive_bound, adv_bound)
+            adv_bound = min(adv_bound, axis.h / peak)
+    dt = dt_safety * min(ws.diffusive_bound, adv_bound)
     if dt < DT_UNDERFLOW:
         raise NumericalBreakdownError(f"stable step size underflow: dt = {dt:.3e}", dt)
     return dt
@@ -217,55 +320,81 @@ def step(
     """Advance one explicit step of size dt; see the module docstring for the scheme."""
     if positivity_mode not in POSITIVITY_MODES:
         raise ValueError(f"positivity_mode must be one of {POSITIVITY_MODES}")
-    spec = state.u.spec
-    spacing = spec.spacing
+    ws = _workspace(state)
     u = state.u.values
     v = state.v.values
-    w = state.w.values
+    axes = ws.drift(v, state.w.values, params)
+    pair = ws.stacked(u, v)
 
-    scheme = "upwind" if positivity_mode == "upwind" else "central"
-    rhs = drift_diffusion_laplacian_values(u, v, _drift_differences(state, params), spacing, scheme)
-    u_new, v_new = rhs
-    consumption = f_of(u, params)
+    # per axis, the face flux grad(u) - u_face grad(phi) in row 0 and grad(v) in row 1,
+    # then their divergence, summed over the axes into the one new (2, cells) array
+    new = np.empty((2, ws.size))
+    for axis in axes:
+        hi, lo = pair[:, axis.hi], pair[:, axis.lo]
+        np.subtract(hi, lo, out=axis.interior)
+        if positivity_mode == "clip":
+            taxis = np.add(lo[0], hi[0], out=axis.taxis)
+            taxis *= 0.5
+        else:
+            taxis = np.where(axis.dphi >= 0.0, lo[0], hi[0])
+        taxis *= axis.dphi
+        axis.u_interior -= taxis
+        if axis.wrap is not None:
+            axis.wrap.fill(0.0)
+        div = new if axis.div is None else axis.div
+        np.subtract(axis.faces_hi, axis.faces_lo, out=div)
+        div *= axis.inv_h2
+        if div is not new:
+            new += div
+
+    rhs = new.reshape(ws.pair_shape)
+    u_new, v_new = rhs[0], rhs[1]
+    consumption = _f(u, params)  # u >= 0: every state a step makes is clipped
     consumption *= v
     v_new -= consumption
     if forcing is not None:
-        centers = cell_centers(spec)
         if forcing.u is not None:
-            u_new += forcing.u(centers, state.t)
+            u_new += forcing.u(ws.centers, state.t)
         if forcing.v is not None:
-            v_new += forcing.v(centers, state.t)
+            v_new += forcing.v(ws.centers, state.t)
 
     # the right-hand sides become the updated fields in place
-    rhs *= dt
-    u_new += u
-    v_new += v
+    new *= dt
+    new += pair
 
     clipped = state.clipped_mass
-    if not rhs.min() >= 0.0:  # a NaN also leaves the two checks below to decide
+    if not new.min() >= 0.0:  # a NaN also leaves the two checks below to decide
         if u_new.min() < 0.0:
-            clipped += float(-u_new[u_new < 0.0].sum()) * spec.cell_volume
+            clipped += float(-u_new[u_new < 0.0].sum()) * ws.cell_volume
             np.maximum(u_new, 0.0, out=u_new)
         if v_new.min() < 0.0:
             np.maximum(v_new, 0.0, out=v_new)
 
     t_new = state.t + dt
-    w_source = _repellent_source(u_new, t_new, params, forcing, spec)
-    # g(u) is inf or NaN wherever u is, so a finite source also certifies u
-    if not (np.isfinite(v_new).all() and np.isfinite(w_source).all()):
+    w_source = _g(u_new, params)
+    if forcing is not None and forcing.w_source is not None:
+        w_source += forcing.w_source(ws.centers, t_new)
+    # g(u) is inf or NaN wherever u is, so a finite source also certifies u; a finite
+    # sum certifies every entry, and only a sum that is not finite needs the entries
+    if not math.isfinite(np.add.reduce(v_new, None) + np.add.reduce(w_source, None)) and not (
+        np.isfinite(v_new).all() and np.isfinite(w_source).all()
+    ):
         raise NumericalBreakdownError(
             f"non-finite u, v or repellent source g(u) at t = {t_new:.6g}", dt
         )
-    w_new = elliptic.solve_w_values(w_source, spacing, params.delta)
+    w_new = ws.solve_w(w_source, params.delta)
 
-    return SimState(
-        u=ScalarField._wrap(spec, u_new),
-        v=ScalarField._wrap(spec, v_new),
-        w=ScalarField._wrap(spec, w_new),
+    ws.pair_key, ws.pair = (u_new, v_new), new
+    child = SimState(
+        u=ScalarField._wrap(ws.spec, u_new),
+        v=ScalarField._wrap(ws.spec, v_new),
+        w=ScalarField._wrap(ws.spec, w_new),
         t=t_new,
         step=state.step + 1,
         clipped_mass=clipped,
     )
+    child._workspace = ws
+    return child
 
 
 def initial_state(config: RunConfig, forcing: Forcing | None = None) -> SimState:
@@ -334,4 +463,5 @@ def run(
     except NumericalBreakdownError as exc:
         termination = BREAKDOWN
         emit(state, exc.dt)
+    state._workspace = None  # the run's scratch ends with it; a further step makes its own
     return records, state, termination

@@ -188,6 +188,20 @@ class TestOutUnderAFile:
         assert str(out) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [("simulate", "CFG"), ("sweep", "CFG", "--xi", "1.0"),
+                                         ("figures", "fig1"), ("thresholds",)])
+    def test_empty_out_is_named_before_anything_runs(self, tmp_path, capsys, monkeypatch, command):
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("the run started"))
+        before = sorted(tmp_path.rglob("*"))
+        argv = [cfg if arg == "CFG" else arg for arg in command]
+        assert main([*argv, "--out", ""]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: --out must not be empty\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 SMALL_1D = """
 grid.dim = 1
@@ -508,6 +522,50 @@ class TestSweep:
         rows = read_csv_rows(out / "homo_sweep_xi.csv")
         assert rows[0]["hypotheses_ok"] == "False"
         assert rows[1]["hypotheses_ok"] == "True"
+
+    @pytest.mark.parametrize("jobs, xi, workers", [("8", "1", 1), ("2", "0.5,1,2", 2),
+                                                   ("3", "0.5,1", 2)])
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch, jobs, xi, workers):
+        # a fake pool that records its size and runs each task in this process
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--xi", xi, "--jobs", jobs, "--out", str(out)]) == EXIT_OK
+        assert sizes == [workers]
+        assert len(read_csv_rows(out / "homo_sweep_xi.csv")) == len(xi.split(","))
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("a pool was made"))
+        cfg = write_config(tmp_path, HOMOGENEOUS)
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--xi", "1", "--jobs", jobs, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_empty_axis_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HOMOGENEOUS)

@@ -10,7 +10,6 @@ from arcsim.grid import (
     ScalarField,
     cell_centers,
     div_u_grad_values,
-    drift_diffusion_laplacian_values,
     drift_diffusion_values,
     face_differences,
     grad_sq_integral,
@@ -233,15 +232,12 @@ class TestDriftDiffusion:
             expected_u = div_u if expected_u is None else expected_u + div_u
             expected_v = div_v if expected_v is None else expected_v + div_v
         fused = drift_diffusion_values(u, phi, spec.spacing, scheme)
-        both = drift_diffusion_laplacian_values(u, v, face_differences(phi), spec.spacing, scheme)
-        assert both.shape == (2, *spec.shape)
-        for got, expected in ((fused, expected_u), (both[0], expected_u),
-                              (laplacian_values(v, spec.spacing), expected_v), (both[1], expected_v)):
+        for got, expected in ((fused, expected_u), (laplacian_values(v, spec.spacing), expected_v)):
             assert got.tobytes() == expected.tobytes()
 
 
 def face_difference_peaks(values):
-    """Largest |difference| across an interior face per axis, as stable_dt takes it."""
+    """Largest |difference| across an interior face per axis: the peak stable_dt bounds dt by."""
     return [float(np.abs(diff).max()) for diff in face_differences(values)]
 
 

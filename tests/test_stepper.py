@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -319,19 +320,30 @@ class TestStepAgainstReference:
         lengths=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
         coefficients=st.tuples(st.floats(0.01, 20.0), st.floats(0.01, 20.0)),
         other=st.tuples(st.floats(0.01, 20.0), st.floats(0.01, 20.0)),
+        kinetics=st.tuples(
+            st.floats(0.01, 1.0),  # alpha in (0, 1]
+            st.one_of(st.just(1.0), st.floats(1.0, 3.0, exclude_min=True)),  # l
+            st.floats(0.01, 20.0),  # delta
+            st.floats(0.01, 20.0),  # K
+            st.floats(0.01, 20.0),  # gamma
+        ),
         mode=st.sampled_from(["clip", "upwind"]),
         forced=st.booleans(),
-        path=st.sampled_from(["bound first", "no bound", "stale coefficients", "replaced v"]),
+        path=st.sampled_from(["bound first", "no bound", "stale coefficients", "replaced v",
+                              "siblings", "delta changed", "parent after child"]),
         stretch=st.floats(0.25, 4.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bitwise_equal_to_the_composed_step(
-        self, n_cells, lengths, coefficients, other, mode, forced, path, stretch, seed
+        self, n_cells, lengths, coefficients, other, kinetics, mode, forced, path, stretch, seed
     ):
-        # the step that reuses stable_dt's drift (or forms its own) against the
-        # step composed from the operators; stretch > 1 oversizes dt, so u and v clip
+        # the step that reuses its workspace (drift, stacked fields, solver, buffers) against
+        # the step composed from the operators, on every state of a path that shares one
+        # workspace; stretch > 1 oversizes dt, so u and v clip
         spec = GridSpec(len(n_cells), tuple(n_cells), lengths[: len(n_cells)])
-        params = make_params(chi=coefficients[0], xi=coefficients[1], n=spec.dim)
+        alpha, l, delta, K, gamma = kinetics
+        params = make_params(chi=coefficients[0], xi=coefficients[1], delta=delta, K=K,
+                             gamma=gamma, alpha=alpha, l=l, n=spec.dim)
         rng = np.random.default_rng(seed)
         state = SimState(
             u=ScalarField(spec, 3.0 * rng.random(spec.shape)),
@@ -342,35 +354,87 @@ class TestStepAgainstReference:
             clipped_mass=0.25,
         )
         forcing = WAVY if forced else None
-        dt = reference_stable_dt(state, params, 0.4)
+        made = []  # every state made, with the bytes it had then
+
+        def checked_step(state, params, scale=1.0, bound_first=True):
+            dt = reference_stable_dt(state, params, 0.4)
+            if bound_first:
+                assert stable_dt(state, params, 0.4) == dt
+            dt *= stretch * scale
+            expected = reference_step(state, params, dt, mode, forcing)
+            new = step(state, params, dt, positivity_mode=mode, forcing=forcing)
+            for got, want in zip((new.u.values, new.v.values, new.w.values), expected):
+                assert got.shape == spec.shape
+                assert got.tobytes() == want.tobytes()
+            assert (new.t, new.clipped_mass, new.step) == (*expected[3:], state.step + 1)
+            made.append((new, [f.values.tobytes() for f in (new.u, new.v, new.w)]))
+            return new
 
         if path == "bound first":
-            assert stable_dt(state, params, 0.4) == dt
+            checked_step(state, params)
+        elif path == "no bound":
+            checked_step(state, params, bound_first=False)
         elif path == "stale coefficients":
             stale = make_params(chi=other[0], xi=other[1], n=spec.dim)
             assert stable_dt(state, stale, 0.4) == reference_stable_dt(state, stale, 0.4)
+            checked_step(state, params, bound_first=False)
         elif path == "replaced v":
-            assert stable_dt(state, params, 0.4) == dt
+            assert stable_dt(state, params, 0.4) == reference_stable_dt(state, params, 0.4)
             state.v = ScalarField(spec, 2.0 * rng.random(spec.shape))
-        dt *= stretch
+            checked_step(state, params, bound_first=False)
+        elif path == "siblings":  # two children of one parent, stepped alternately
+            first, second = checked_step(state, params), checked_step(state, params, scale=0.5)
+            for _ in range(2):
+                first, second = checked_step(first, params), checked_step(second, params)
+        elif path == "delta changed":
+            changed = dataclasses.replace(params, delta=other[0])
+            checked_step(checked_step(checked_step(state, params), changed), params)
+        else:  # the parent stepped again after its child, then the child
+            child = checked_step(state, params)
+            checked_step(state, params, scale=0.5)
+            checked_step(child, params, bound_first=False)
 
-        expected = reference_step(state, params, dt, mode, forcing)
-        new = step(state, params, dt, positivity_mode=mode, forcing=forcing)
-        for got, want in zip((new.u.values, new.v.values, new.w.values), expected):
-            assert got.shape == spec.shape
-            assert got.tobytes() == want.tobytes()
-        assert (new.t, new.clipped_mass, new.step) == (expected[3], expected[4], 4)
+        # no step wrote into an array that an earlier state exposes
+        for made_state, saved in made:
+            assert [f.values.tobytes() for f in (made_state.u, made_state.v, made_state.w)] == saved
 
     def test_cached_drift_is_neither_compared_nor_printed(self):
+        # the workspace that holds the drift is made lazily, passed on to each child,
+        # and is no part of a state's value
         spec = GridSpec.interval(8)
         params = make_params()
         fresh = homogeneous_state(spec, params)
         bounded = homogeneous_state(spec, params)
         stable_dt(bounded, params)
-        assert bounded._drift is not None and fresh._drift is None
+        assert bounded._workspace is not None and fresh._workspace is None
         assert repr(bounded) == repr(fresh)
-        (drift,) = [f for f in dataclasses.fields(SimState) if f.name == "_drift"]
-        assert not drift.compare and not drift.init
+        assert step(bounded, params, 1e-4)._workspace is bounded._workspace
+        (workspace,) = [f for f in dataclasses.fields(SimState) if f.name == "_workspace"]
+        assert not workspace.compare and not workspace.init and not workspace.repr
+
+    def test_a_pickled_state_steps_alike(self):
+        spec = GridSpec.rectangle((6, 5))
+        params = make_params(n=2)
+        x, y = cell_centers(spec)
+        state = SimState(ScalarField(spec, 1.0 + x * y), ScalarField(spec, 1.0 + x),
+                         ScalarField(spec, y), 0.0, 0)
+        state = step(state, params, stable_dt(state, params))
+        copy = pickle.loads(pickle.dumps(state))
+        a, b = step(state, params, 1e-3), step(copy, params, 1e-3)
+        for name in ("u", "v", "w"):
+            assert getattr(a, name).values.tobytes() == getattr(b, name).values.tobytes()
+
+    def test_finite_entries_whose_sum_overflows_step_on(self):
+        # every g(u) is finite but their sum is not: the entry-by-entry check decides
+        spec = GridSpec.interval(32)
+        params = make_params(gamma=10.0)
+        state = SimState(ScalarField.full(spec, 1e306), ScalarField.full(spec, 1.0),
+                         ScalarField.full(spec, 0.0), 0.0, 0)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(g_of(state.u.values, params).sum())
+            new = step(state, params, 1e-6)
+        assert np.all(new.u.values == 1e306)
+        assert np.all(new.w.values == 1e307)
 
 
 class TestRun:
@@ -499,6 +563,15 @@ class TestRun:
         _, final, termination = run(bump_config(n=32, t_end=0.01))
         assert termination == COMPLETED
         assert len(calls) == final.step
+
+    def test_final_state_holds_no_workspace(self):
+        # the run's scratch is freed with it; stepping its final state makes a new workspace
+        config = bump_config(n=16, t_end=0.01)
+        _, final, termination = run(config)
+        assert termination == COMPLETED and final._workspace is None
+        dt = stable_dt(final, config.params)
+        expected = reference_step(final, config.params, dt, "clip", None)
+        assert step(final, config.params, dt).u.values.tobytes() == expected[0].tobytes()
 
     @pytest.mark.parametrize("spec", [GridSpec.interval(8), GridSpec.rectangle((6, 5))])
     def test_overflowing_production_rejected(self, spec):
