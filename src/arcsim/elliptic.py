@@ -54,7 +54,8 @@ def _interval_solver(n: int, h: float, delta: float):
     at most e^_BLOCK_GROWTH: phi is kept as a mantissa and an exact power of
     two, both sums of a block are scaled by phi at its first cell, and each
     block's end sum is carried into the next at the ratio of their scales.
-    Every weight is positive, so b >= 0 gives w >= 0 exactly.
+    With one block (n theta <= _BLOCK_GROWTH) the sums run over all cells
+    without block loops. Every weight is positive, so b >= 0 gives w >= 0.
     """
     s = delta * h * h
     if not math.isfinite(s):
@@ -91,6 +92,17 @@ def _interval_solver(n: int, h: float, delta: float):
     into_right = tuple((blk, blk.start - 1, c) for blk, c in zip(blocks[1:], carry.tolist()))
     into_left = tuple((blk, blk.stop, c) for blk, c in zip(blocks[:-1], carry.tolist()))[::-1]
     blocks = tuple(blocks)
+
+    if len(blocks) == 1:  # phi grows by at most e^_BLOCK_GROWTH: the sums run over all cells
+        def solve(b):
+            x = b * rho
+            np.add.accumulate(x, out=x)
+            x *= kappa
+            r = x[::-1]
+            np.add.accumulate(r, out=r)
+            x *= rho
+            return x
+        return solve
 
     def solve(b):
         x = b * rho
@@ -173,7 +185,16 @@ def _screened_solve(b: np.ndarray, delta: float, solver) -> np.ndarray:
 def relative_residual(
     w: np.ndarray, source: np.ndarray, spacing: tuple[float, ...], delta: float
 ) -> float:
-    """||(delta*I - Lap) w - source||_2 relative to ||source||_2 (absolute when it is zero)."""
-    resid = np.linalg.norm((delta * w - laplacian_values(w, spacing) - source).ravel())
-    src_norm = float(np.linalg.norm(np.asarray(source).ravel()))
-    return float(resid / src_norm) if src_norm > 0.0 else float(resid)
+    """||(delta*I - Lap) w - source||_2 relative to ||source||_2 (absolute when it is zero).
+
+    Where a squared norm overflows, both are taken again of the vectors scaled
+    exactly, by a power of two near 1/max|source|, which keeps their ratio.
+    """
+    source = np.asarray(source).ravel()
+    resid = (delta * w - laplacian_values(w, spacing)).ravel() - source
+    with np.errstate(over="ignore"):  # an overflowing norm is taken again below
+        resid_norm, src_norm = np.linalg.norm(resid), np.linalg.norm(source)
+    if not (math.isfinite(resid_norm) and math.isfinite(src_norm)):
+        scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(source))))[1])
+        resid_norm, src_norm = np.linalg.norm(resid * scale), np.linalg.norm(source * scale)
+    return float(resid_norm / src_norm) if src_norm > 0.0 else float(resid_norm)

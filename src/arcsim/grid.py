@@ -109,7 +109,7 @@ def cell_centers(spec: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(grids)
 
 
-@dataclass
+@dataclass(slots=True)
 class ScalarField:
     """One real value per cell of a :class:`GridSpec`, stored row-major."""
 

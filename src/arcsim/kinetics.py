@@ -66,7 +66,7 @@ def g_of(s, params: ModelParams):
 
 def _f(s: np.ndarray, params: ModelParams) -> np.ndarray:
     """:func:`f_of` without its checks, for a float array s >= 0."""
-    return params.K * s**params.alpha
+    return _scaled(s**params.alpha, params.K)
 
 
 def _g(s: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -74,6 +74,11 @@ def _g(s: np.ndarray, params: ModelParams) -> np.ndarray:
     if params.l == 1.0:
         return params.gamma * s  # bitwise gamma*s*(s+1)**0.0, without the pow
     return params.gamma * s * (s + 1.0) ** (params.l - 1.0)
+
+
+def _scaled(x, c: float, out: np.ndarray | None = None):
+    """c*x, into ``out`` if given; x itself when c == 1.0, since x*1.0 == x in IEEE arithmetic."""
+    return x if c == 1.0 else np.multiply(x, c, out=out)
 
 
 @dataclass(frozen=True)

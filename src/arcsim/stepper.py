@@ -21,19 +21,25 @@ work in one private workspace, made at its first :func:`stable_dt` or
 grid constants, the cell centres, the repellent solver for the current delta,
 scratch buffers and one zero-walled face array per axis. :func:`stable_dt`
 leaves the face differences of the drift potential chi*v - xi*w there, keyed
-by (chi, xi) and the v and w arrays; :func:`step` reuses them when these
+by (chi, xi) and the v and w arrays; :func:`step` uses them up when these
 match and forms them otherwise. The step returns u and v as the two rows of
-the one new (2, cells) array it computes, so the next step takes both
-fields' face differences in one call; one pass per axis then builds the u
-face flux and the face difference of v, in the arithmetic order of
-``drift_diffusion_values`` and ``laplacian_values``. Every array a state
-exposes is new; only the scratch is reused.
+one (2, cells) array, so the next step takes both fields' face differences
+in one call; one pass per axis then builds the u face flux and the face
+difference of v, in the arithmetic order of ``drift_diffusion_values`` and
+``laplacian_values``. A multiply by a chi, xi, K or gamma of 1.0 is skipped
+(x*1.0 == x). :func:`run` steps its own chain in two recycled such arrays,
+writing the one its state does not use, and hands out (to the records, the
+callback and its caller) only states on fresh copies of u, v and w; any
+other chain gets new arrays from every step, so its states may be stepped in
+any order.
 
 Arguments are checked at the boundary: ``f_of``, ``g_of`` and
 ``elliptic.solve_w_values`` check theirs, :class:`RunConfig` checks a run's,
 and the step calls their unchecked kernels, since its u is nonnegative by
-construction. A non-finite u, v or g(u) is found by a sum first (a finite
-sum proves every entry finite) and only then entry by entry.
+construction. After the clip every u and v entry is >= 0 or NaN, so a finite
+maximum per row certifies both fields; g(u) = gamma*u is then finite exactly
+when gamma*sup u is, and any other source by the maximum of its magnitude.
+The new state carries sup u privately for :func:`run`'s blow-up test.
 
 The step size obeys both the diffusive limit and an advective CFL limit on
 the drift potential. In either mode, negative u or v cells are clipped to
@@ -63,7 +69,7 @@ from .grid import (  # noqa: F401  (div_u_grad_values, laplacian_values: binding
     div_u_grad_values,
     laplacian_values,
 )
-from .kinetics import ModelParams, _f, _g, f_of, g_of  # noqa: F401  (f_of: a binding perfbench traces)
+from .kinetics import ModelParams, _f, _g, _scaled, f_of, g_of  # noqa: F401  (f_of: a binding perfbench traces)
 
 __all__ = [
     "COMPLETED",
@@ -94,15 +100,16 @@ class NumericalBreakdownError(RuntimeError):
         self.dt = dt
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     """Snapshot of the evolving triplet (u, v, w) at time t.
 
     ``clipped_mass`` is the cumulative magnitude of u-mass adjusted by
     positivity clipping; it stays zero on well-resolved runs. ``_workspace``
     is the explicit scheme's per-grid state, made at the first
-    :func:`stable_dt` or :func:`step` and handed from each state to the next;
-    it is neither compared nor printed.
+    :func:`stable_dt` or :func:`step` and handed from each state to the next,
+    and ``_sup_u`` is sup u of a state a step made; neither is compared or
+    printed.
     """
 
     u: ScalarField
@@ -112,6 +119,7 @@ class SimState:
     step: int
     clipped_mass: float = 0.0
     _workspace: _Workspace | None = field(default=None, init=False, compare=False, repr=False)
+    _sup_u: float | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -199,35 +207,50 @@ class _Axis:
         self.div = np.empty((2, size)) if ax.axis > 0 else None
 
 
+class _Pair:
+    """u and v as the rows of one (2, cells) array, and per axis in ``sides`` the views
+    of the cells above and below each interior face, both rows and the u row."""
+
+    __slots__ = ("flat", "u", "v", "sides")
+
+    def __init__(self, ws: _Workspace):
+        self.flat = np.empty((2, ws.size))
+        self.u, self.v = self.flat.reshape(ws.pair_shape)
+        self.sides = tuple((hi, lo, hi[0], lo[0]) for hi, lo in
+                           ((self.flat[:, axis.hi], self.flat[:, axis.lo]) for axis in ws.axes))
+
+
+_NO_DRIFT = (None,) * 4
+
+
 class _Workspace:
     """The explicit scheme's per-grid state, shared by a chain of states.
 
     It keeps the grid's constants, the repellent solver for one delta (taken
     at the first non-constant source), scratch buffers and the per-axis face
     arrays. Its drift, the face differences of chi*v - xi*w, is valid for the
-    (chi, xi) and the v and w arrays it came from; the stacked (u, v) array of
-    its last step is valid for the two row arrays that step returned. Any
-    other state, coefficient or array forms these afresh, so states that
-    share a workspace may be stepped in any order. It writes only its own
-    scratch, never an array a state exposes; it is not for use by two
-    threads at once.
+    (chi, xi) and the v and w arrays it came from, until a step uses it. A
+    ``recycled`` workspace, made by :func:`run` for its own chain, steps in
+    two :class:`_Pair` buffers by turns; any other writes each step into a new
+    one, so states that share it may be stepped in any order. It writes only
+    its own buffers, never an array a state outside :func:`run` exposes; it
+    is not for use by two threads at once.
     """
 
-    def __init__(self, spec: GridSpec):
+    def __init__(self, spec: GridSpec, recycled: bool = False):
         self.spec = spec
         self.size = spec.total_cells
         self.pair_shape = (2, *spec.shape)
         self.diffusive_bound = spec.diffusive_bound
         self.cell_volume = spec.cell_volume
         self.centers = cell_centers(spec)
-        self.chi_v = np.empty(spec.shape)
+        self.scratch = np.empty(spec.shape)
         self.phi = np.empty(spec.shape)
         phi = self.phi.reshape(-1)
         self.axes = tuple(_Axis(ax, h, phi, self.size)
                           for ax, h in zip(axis_operators(spec.shape), spec.spacing))
-        self.drift_key = (None,) * 4  # (chi, xi, v, w) of the current drift
-        self.pair_key = (None, None)  # (u, v): the rows of the stacked array ``pair``
-        self.pair = None
+        self.drift_key = _NO_DRIFT  # (chi, xi, v, w) of the current drift
+        self.buffers = (_Pair(self), _Pair(self)) if recycled else None
         self.delta = None
         self.solve = None
 
@@ -239,9 +262,7 @@ class _Workspace:
         key = self.drift_key
         chi, xi = params.chi, params.xi
         if key[2] is not v or key[3] is not w or key[0] != chi or key[1] != xi:
-            np.multiply(v, chi, out=self.chi_v)
-            np.multiply(w, xi, out=self.phi)
-            np.subtract(self.chi_v, self.phi, out=self.phi)
+            np.subtract(_scaled(v, chi, self.scratch), _scaled(w, xi, self.phi), out=self.phi)
             for axis in self.axes:
                 np.subtract(axis.phi_hi, axis.phi_lo, out=axis.dphi)
                 if axis.dphi_seams is not None:
@@ -249,15 +270,15 @@ class _Workspace:
             self.drift_key = (chi, xi, v, w)
         return self.axes
 
-    def stacked(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """u and v as the rows of one (2, cells) array: the last step's, or a new stack."""
-        key = self.pair_key
-        if key[0] is not u or key[1] is not v:
-            self.pair = np.empty((2, self.size))
-            self.pair[0] = u.reshape(-1)
-            self.pair[1] = v.reshape(-1)
-            self.pair_key = (u, v)
-        return self.pair
+    def pairs(self, u: np.ndarray, v: np.ndarray) -> tuple[_Pair, _Pair]:
+        """The stack whose rows are u and v, and the stack a step from them writes."""
+        held, out = self.buffers or (_Pair(self), _Pair(self))
+        if u is out.u and v is out.v:  # run()'s chain: write the buffer the state does not use
+            held, out = out, held
+        elif u is not held.u or v is not held.v:
+            held.u[...] = u
+            held.v[...] = v
+        return held, out
 
     def solve_w(self, source: np.ndarray, delta: float) -> np.ndarray:
         """w from (delta*I - Lap) w = source, as ``elliptic.solve_w_values`` gives it."""
@@ -324,19 +345,19 @@ def step(
     u = state.u.values
     v = state.v.values
     axes = ws.drift(v, state.w.values, params)
-    pair = ws.stacked(u, v)
+    ws.drift_key = _NO_DRIFT  # used up: a recycled buffer's rows come back every second step
+    held, out = ws.pairs(u, v)
 
     # per axis, the face flux grad(u) - u_face grad(phi) in row 0 and grad(v) in row 1,
     # then their divergence, summed over the axes into the one new (2, cells) array
-    new = np.empty((2, ws.size))
-    for axis in axes:
-        hi, lo = pair[:, axis.hi], pair[:, axis.lo]
+    new = out.flat
+    for axis, (hi, lo, hi_u, lo_u) in zip(axes, held.sides):
         np.subtract(hi, lo, out=axis.interior)
         if positivity_mode == "clip":
-            taxis = np.add(lo[0], hi[0], out=axis.taxis)
+            taxis = np.add(lo_u, hi_u, out=axis.taxis)
             taxis *= 0.5
         else:
-            taxis = np.where(axis.dphi >= 0.0, lo[0], hi[0])
+            taxis = np.where(axis.dphi >= 0.0, lo_u, hi_u)
         taxis *= axis.dphi
         axis.u_interior -= taxis
         if axis.wrap is not None:
@@ -347,8 +368,7 @@ def step(
         if div is not new:
             new += div
 
-    rhs = new.reshape(ws.pair_shape)
-    u_new, v_new = rhs[0], rhs[1]
+    u_new, v_new = out.u, out.v
     consumption = _f(u, params)  # u >= 0: every state a step makes is clipped
     consumption *= v
     v_new -= consumption
@@ -360,31 +380,35 @@ def step(
 
     # the right-hand sides become the updated fields in place
     new *= dt
-    new += pair
+    new += held.flat
 
     clipped = state.clipped_mass
-    if not new.min() >= 0.0:  # a NaN also leaves the two checks below to decide
+    if not new.min() >= 0.0:  # a NaN also leaves the certificate below to decide
         if u_new.min() < 0.0:
             clipped += float(-u_new[u_new < 0.0].sum()) * ws.cell_volume
             np.maximum(u_new, 0.0, out=u_new)
         if v_new.min() < 0.0:
             np.maximum(v_new, 0.0, out=v_new)
 
+    # each row is now >= 0 or holds a NaN, so a finite row maximum certifies every entry
+    sup_u, sup_v = new.max(axis=1).tolist()
     t_new = state.t + dt
-    w_source = _g(u_new, params)
-    if forcing is not None and forcing.w_source is not None:
-        w_source += forcing.w_source(ws.centers, t_new)
-    # g(u) is inf or NaN wherever u is, so a finite source also certifies u; a finite
-    # sum certifies every entry, and only a sum that is not finite needs the entries
-    if not math.isfinite(np.add.reduce(v_new, None) + np.add.reduce(w_source, None)) and not (
-        np.isfinite(v_new).all() and np.isfinite(w_source).all()
-    ):
+    if params.l == 1.0 and (forcing is None or forcing.w_source is None):
+        # gamma*u >= 0 is finite everywhere exactly when gamma*sup u is, x -> gamma*x being monotone
+        w_source, source_peak = None, params.gamma * sup_u
+    else:
+        w_source = _g(u_new, params)
+        if forcing is not None and forcing.w_source is not None:
+            w_source += forcing.w_source(ws.centers, t_new)
+        source_peak = float(np.abs(w_source, out=ws.scratch).max())
+    if not (math.isfinite(sup_u) and math.isfinite(sup_v) and math.isfinite(source_peak)):
         raise NumericalBreakdownError(
             f"non-finite u, v or repellent source g(u) at t = {t_new:.6g}", dt
         )
+    if w_source is None:
+        w_source = _scaled(u_new, params.gamma, ws.scratch)
     w_new = ws.solve_w(w_source, params.delta)
 
-    ws.pair_key, ws.pair = (u_new, v_new), new
     child = SimState(
         u=ScalarField._wrap(ws.spec, u_new),
         v=ScalarField._wrap(ws.spec, v_new),
@@ -394,7 +418,14 @@ def step(
         clipped_mass=clipped,
     )
     child._workspace = ws
+    child._sup_u = sup_u
     return child
+
+
+def _copy(state: SimState) -> SimState:
+    """The state on fresh copies of u, v and w, with no workspace: what :func:`run` hands out."""
+    return SimState(state.u.copy(), state.v.copy(), state.w.copy(), state.t, state.step,
+                    state.clipped_mass)
 
 
 def initial_state(config: RunConfig, forcing: Forcing | None = None) -> SimState:
@@ -431,6 +462,7 @@ def run(
     records: list[diagnostics.DiagRecord] = []
 
     def emit(state, dt_current):
+        state = _copy(state)
         w_source = _repellent_source(state.u.values, state.t, params, forcing, config.grid)
         rec = diagnostics.record(state, config, dt_current=dt_current, w_source=w_source)
         records.append(rec)
@@ -438,6 +470,7 @@ def run(
             callback(state, rec)
 
     state = initial_state(config, forcing)
+    state._workspace = _Workspace(state.u.spec, recycled=True)
     blow_threshold = config.blowup_factor * float(np.max(config.u0.values))
     k_out = 1
     next_out = min(k_out * config.output_interval, t_end)
@@ -452,7 +485,7 @@ def run(
             if lands:
                 dt = next_out - state.t
             state = step(state, params, dt, positivity_mode=config.positivity_mode, forcing=forcing)
-            if float(state.u.values.max()) > blow_threshold:
+            if state._sup_u > blow_threshold:
                 termination = BLOWUP_FLAGGED
                 emit(state, dt)
                 break
@@ -463,5 +496,4 @@ def run(
     except NumericalBreakdownError as exc:
         termination = BREAKDOWN
         emit(state, exc.dt)
-    state._workspace = None  # the run's scratch ends with it; a further step makes its own
-    return records, state, termination
+    return records, _copy(state), termination

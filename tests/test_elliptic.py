@@ -1,5 +1,8 @@
 """Repellent-equation solver tests: exactness, mean identity, positivity, dense oracle."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -225,6 +228,21 @@ class TestDenseOracle:
         assert err <= 1e-12
 
     @pytest.mark.parametrize(
+        "n,length,delta,blocks",
+        [(64, 2.0, 1.0, 1), (300, 1.0, 1e4, 1), (400, 1.0, 1e6, 3), (600, 2.0, 1e5, 3)],
+    )
+    def test_1d_one_block_and_several_blocks_match_dense_solve(self, n, length, delta, blocks):
+        # phi grows by e^(n theta): past e^_BLOCK_GROWTH the solve carries sums between blocks
+        h = length / n
+        theta = 2.0 * math.asinh(0.5 * math.sqrt(delta * h * h))
+        assert max(1, math.ceil(n * theta / elliptic._BLOCK_GROWTH)) == blocks
+        spec = GridSpec.interval(n, length)
+        source = random_source(spec, n, -1.0, 1.0)
+        w = solve(source, delta)
+        exact = np.linalg.solve(dense_operator(spec, delta), source.values)
+        assert np.max(np.abs(w.values - exact)) / np.max(np.abs(exact)) <= 1e-12
+
+    @pytest.mark.parametrize(
         "spec", [GridSpec.interval(3), GridSpec.interval(64, 2.0), GridSpec.rectangle((16, 24), (1.0, 2.0))]
     )
     def test_equal_end_values_still_solved(self, spec):
@@ -257,6 +275,21 @@ class TestValidation:
             elliptic.solve_w_values(source, (5e-22,), 1e-300)
         w = elliptic.solve_w_values(source, (5e-12,), 1e-300)  # delta*h^2 subnormal, not 0
         assert np.isfinite(w).all()
+
+    @pytest.mark.parametrize("spec", [GridSpec.interval(32), GridSpec.rectangle((12, 10))])
+    def test_residual_of_fields_whose_squared_norm_overflows(self, spec):
+        # scaling w and its source by a power of two scales the residual exactly while the
+        # stencil stays finite, so the relative residual keeps its bits past ||source||^2 > 1e308
+        source = random_source(spec, 5)
+        w = solve(source, 1.3)
+        unscaled = residual(w, source, 1.3)
+        assert 0.0 < unscaled <= 1e-12
+        for power in (515, 1000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = residual(ScalarField(spec, np.ldexp(w.values, power)),
+                                  ScalarField(spec, np.ldexp(source.values, power)), 1.3)
+            assert scaled == unscaled
 
     def test_residual_definition(self):
         spec = GridSpec.interval(32)

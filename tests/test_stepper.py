@@ -3,13 +3,14 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcsim import elliptic, grid, stepper
+from arcsim import diagnostics, elliptic, grid, stepper
 from arcsim.grid import (
     GridSpec,
     ScalarField,
@@ -286,7 +287,7 @@ def reference_step(state, params, dt, positivity_mode, forcing):
     scheme = "upwind" if positivity_mode == "upwind" else "central"
     u_new = drift_diffusion_values(u, drift, spec.spacing, scheme)
     v_new = laplacian_values(v, spec.spacing)
-    v_new -= f_of(u, params) * v
+    v_new -= params.K * u**params.alpha * v  # the rate laws multiply by K and gamma even at 1.0
     if forcing is not None:
         u_new += forcing.u(cell_centers(spec), state.t)
         v_new += forcing.v(cell_centers(spec), state.t)
@@ -298,7 +299,7 @@ def reference_step(state, params, dt, positivity_mode, forcing):
         u_new = np.maximum(u_new, 0.0)
     v_new = np.maximum(v_new, 0.0)
     t_new = state.t + dt
-    source = g_of(u_new, params)
+    source = params.gamma * u_new * (u_new + 1.0) ** (params.l - 1.0)
     if forcing is not None:
         source = source + forcing.w_source(cell_centers(spec), t_new)
     w_new = elliptic.solve_w_values(source, spec.spacing, params.delta)
@@ -313,19 +314,23 @@ WAVY = Forcing(
 )
 
 
+# a coefficient the step skips multiplying by when it is exactly 1.0
+coefficient = st.one_of(st.just(1.0), st.floats(0.01, 20.0))
+
+
 class TestStepAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(
         n_cells=st.lists(st.integers(3, 30), min_size=1, max_size=2),
         lengths=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
-        coefficients=st.tuples(st.floats(0.01, 20.0), st.floats(0.01, 20.0)),
+        coefficients=st.tuples(coefficient, coefficient),  # chi, xi
         other=st.tuples(st.floats(0.01, 20.0), st.floats(0.01, 20.0)),
         kinetics=st.tuples(
             st.floats(0.01, 1.0),  # alpha in (0, 1]
             st.one_of(st.just(1.0), st.floats(1.0, 3.0, exclude_min=True)),  # l
             st.floats(0.01, 20.0),  # delta
-            st.floats(0.01, 20.0),  # K
-            st.floats(0.01, 20.0),  # gamma
+            coefficient,  # K
+            coefficient,  # gamma
         ),
         mode=st.sampled_from(["clip", "upwind"]),
         forced=st.booleans(),
@@ -425,16 +430,176 @@ class TestStepAgainstReference:
             assert getattr(a, name).values.tobytes() == getattr(b, name).values.tobytes()
 
     def test_finite_entries_whose_sum_overflows_step_on(self):
-        # every g(u) is finite but their sum is not: the entry-by-entry check decides
+        # every g(u) is finite but their sum is not: the step certifies entries, prints nothing
         spec = GridSpec.interval(32)
         params = make_params(gamma=10.0)
         state = SimState(ScalarField.full(spec, 1e306), ScalarField.full(spec, 1.0),
                          ScalarField.full(spec, 0.0), 0.0, 0)
         with np.errstate(over="ignore"):
             assert not np.isfinite(g_of(state.u.values, params).sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             new = step(state, params, 1e-6)
         assert np.all(new.u.values == 1e306)
         assert np.all(new.w.values == 1e307)
+
+    @pytest.mark.parametrize("spec", [GridSpec.interval(16), GridSpec.rectangle((6, 5))])
+    @pytest.mark.parametrize("case", ["nan in v", "inf in u", "gamma sup u overflows",
+                                      "source of -inf", "g(u) overflows at l = 1.5"])
+    def test_named_breakdown_without_a_warning(self, spec, case):
+        # each non-finite entry ends the step by name, before the solve; only where g(u)
+        # itself overflows does numpy see an overflow, and that one is silenced here
+        def one_cell(c, value):
+            return np.where(c[0] == c[0].flat[-1], value, 0.0)
+
+        params, u, forcing = make_params(), 1.0, None
+        if case == "nan in v":
+            forcing = Forcing(v=lambda c, t: one_cell(c, np.nan))
+        elif case == "inf in u":
+            forcing = Forcing(u=lambda c, t: one_cell(c, np.inf))
+        elif case == "gamma sup u overflows":
+            params, u = make_params(gamma=1e300), 1e10
+        elif case == "source of -inf":
+            forcing = Forcing(w_source=lambda c, t: one_cell(c, -np.inf))
+        else:
+            params, u = make_params(l=1.5), 1e250
+        state = SimState(ScalarField.full(spec, u), ScalarField.full(spec, 1.0),
+                         ScalarField.full(spec, 0.0), 0.0, 0)
+        overflow = "ignore" if case.startswith("g(u)") else "warn"
+        message = r"^non-finite u, v or repellent source g\(u\) at t = 1e-06$"
+        with warnings.catch_warnings(), np.errstate(over=overflow):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdownError, match=message):
+                step(state, params, 1e-6, forcing=forcing)
+
+
+def plain_loop(config, forcing=None):
+    """run() as a plain loop of initial_state, stable_dt, step and diagnostics.record."""
+    params, t_end = config.params, config.t_end
+    eps = 1e-12 * max(1.0, t_end)
+    threshold = config.blowup_factor * float(np.max(config.u0.values))
+    records = []
+
+    def emit(state, dt):
+        source = g_of(state.u.values, params)
+        if forcing is not None and forcing.w_source is not None:
+            source += forcing.w_source(cell_centers(config.grid), state.t)
+        records.append(diagnostics.record(state, config, dt_current=dt, w_source=source))
+
+    state = stepper.initial_state(config, forcing)
+    k, termination = 1, COMPLETED
+    try:
+        emit(state, stable_dt(state, params, config.dt_safety))
+        while t_end - state.t > eps:
+            dt = stable_dt(state, params, config.dt_safety)
+            next_out = min(k * config.output_interval, t_end)
+            lands = state.t + dt >= next_out - eps
+            if lands:
+                dt = next_out - state.t
+            state = step(state, params, dt, config.positivity_mode, forcing)
+            if state.u.values.max() > threshold:
+                termination = BLOWUP_FLAGGED
+                emit(state, dt)
+                break
+            if lands:
+                emit(state, dt)
+                k += 1
+    except NumericalBreakdownError as exc:
+        termination = BREAKDOWN
+        emit(state, exc.dt)
+    return records, state, termination
+
+
+def records_bytes(records):
+    return np.array([dataclasses.astuple(r) for r in records]).tobytes()
+
+
+def assert_run_is_plain_loop(config, forcing=None):
+    """run() gives bitwise the records, final fields and termination of the plain loop."""
+    records, final, termination = run(config, forcing)
+    expected, state, expected_termination = plain_loop(config, forcing)
+    assert termination == expected_termination
+    assert records_bytes(records) == records_bytes(expected)
+    for name in ("u", "v", "w"):
+        assert getattr(final, name).values.tobytes() == getattr(state, name).values.tobytes()
+    assert (final.t, final.step, final.clipped_mass) == (state.t, state.step, state.clipped_mass)
+    return final, termination
+
+
+def nan_in_v_after(t_nan):
+    """A forcing that puts a NaN into every v from time t_nan on: a breakdown mid-run."""
+    return Forcing(v=lambda c, t: np.full(c[0].shape, np.nan if t >= t_nan else 0.0))
+
+
+class TestRunAgainstPlainLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_cells=st.lists(st.integers(3, 12), min_size=1, max_size=2),
+        coefficients=st.tuples(coefficient, coefficient, coefficient, coefficient),  # chi xi K gamma
+        l=st.one_of(st.just(1.0), st.floats(1.0, 2.5, exclude_min=True)),
+        mode=st.sampled_from(["clip", "upwind"]),
+        dt_safety=st.floats(0.2, 1.0),
+        steps=st.integers(2, 60),
+        records=st.integers(1, 5),
+        blowup_factor=st.sampled_from([1.0, 1.5, 1e3]),
+        breaks_at=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_is_bitwise_the_plain_loop(self, n_cells, coefficients, l, mode, dt_safety, steps,
+                                           records, blowup_factor, breaks_at, seed):
+        # run() steps in two recycled buffers and hands out copies; the plain loop makes a
+        # new state every step; rough random data and large dt_safety make u and v clip
+        spec = GridSpec(len(n_cells), tuple(n_cells), (1.0,) * len(n_cells))
+        chi, xi, K, gamma = coefficients
+        params = make_params(chi=chi, xi=xi, K=K, gamma=gamma, l=l, n=spec.dim)
+        rng = np.random.default_rng(seed)
+        t_end = steps * dt_safety * spec.diffusive_bound
+        config = RunConfig(spec, params, ScalarField(spec, 0.1 + 3.0 * rng.random(spec.shape)),
+                           ScalarField(spec, 2.0 * rng.random(spec.shape)), t_end=t_end,
+                           dt_safety=dt_safety, output_interval=t_end / records,
+                           positivity_mode=mode, blowup_factor=blowup_factor)
+        forcing = None if breaks_at is None else nan_in_v_after(breaks_at * t_end)
+        assert_run_is_plain_loop(config, forcing)
+
+    @pytest.mark.parametrize("mode", ["clip", "upwind"])
+    @pytest.mark.parametrize("spec", [GridSpec.interval(32), GridSpec.rectangle((12, 10))])
+    @pytest.mark.parametrize("case", ["clips", "blows up", "breaks down"])
+    def test_named_runs_are_the_plain_loop(self, case, spec, mode):
+        rng = np.random.default_rng(0)
+        u0, v0 = ScalarField(spec, rng.random(spec.shape)), ScalarField(spec, rng.random(spec.shape))
+        if case == "blows up":  # attraction to a peak of v gathers the flat u
+            u0 = ScalarField.full(spec, 1.0)
+            v0 = ScalarField(spec, np.exp(-20.0 * sum((x - 0.5) ** 2 for x in cell_centers(spec))))
+        config = RunConfig(spec, make_params(chi=5.0, n=spec.dim), u0, v0, t_end=0.02,
+                           dt_safety=1.0, output_interval=0.005, positivity_mode=mode,
+                           blowup_factor=1.0 if case == "blows up" else 1e3)
+        forcing = nan_in_v_after(0.01) if case == "breaks down" else None
+        final, termination = assert_run_is_plain_loop(config, forcing)
+        if case == "clips":
+            assert termination == COMPLETED and final.clipped_mass > 0.0
+        elif case == "blows up":
+            assert termination == BLOWUP_FLAGGED and final.t < 0.02
+        else:
+            assert termination == BREAKDOWN and final.step > 0
+
+    @pytest.mark.parametrize("spec", [GridSpec.interval(48), GridSpec.rectangle((16, 12))])
+    def test_states_handed_to_the_callback_stay_as_they_were(self, spec):
+        centers = cell_centers(spec)
+        config = RunConfig(spec, make_params(chi=3.0, n=spec.dim),
+                           ScalarField(spec, 1.0 + 0.5 * np.cos(np.pi * centers[0])),
+                           ScalarField(spec, 1.0 + 0.3 * centers[-1]), t_end=0.02,
+                           output_interval=0.004)
+        kept = []
+
+        def keep(state, record):
+            assert state._workspace is None
+            kept.append((state, [f.values.tobytes() for f in (state.u, state.v, state.w)]))
+
+        records, final, _ = run(config, callback=keep)
+        assert len(kept) == len(records) == 6 and final._workspace is None
+        assert final.step > 4 * len(records)  # each buffer was written between records
+        for state, saved in kept:
+            assert [f.values.tobytes() for f in (state.u, state.v, state.w)] == saved
 
 
 class TestRun:
