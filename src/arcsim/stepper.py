@@ -21,17 +21,15 @@ work in one private workspace, made at its first :func:`stable_dt` or
 grid constants, the cell centres, the repellent solver for the current delta,
 scratch buffers and one zero-walled face array per axis. :func:`stable_dt`
 leaves the face differences of the drift potential chi*v - xi*w there, keyed
-by (chi, xi) and the v and w arrays; :func:`step` uses them up when these
+by (chi, xi) and the v and w arrays; :func:`step` reuses them when these
 match and forms them otherwise. The step returns u and v as the two rows of
 one (2, cells) array, so the next step takes both fields' face differences
 in one call; one pass per axis then builds the u face flux and the face
 difference of v, in the arithmetic order of ``drift_diffusion_values`` and
 ``laplacian_values``. A multiply by a chi, xi, K or gamma of 1.0 is skipped
-(x*1.0 == x). :func:`run` steps its own chain in two recycled such arrays,
-writing the one its state does not use, and hands out (to the records, the
-callback and its caller) only states on fresh copies of u, v and w; any
-other chain gets new arrays from every step, so its states may be stepped in
-any order.
+(x*1.0 == x). :func:`run` steps its own chain in two recycled such arrays
+and hands out only states on fresh copies of u, v and w; every other chain
+gets new arrays from every step, so its states may be stepped in any order.
 
 Arguments are checked at the boundary: ``f_of``, ``g_of`` and
 ``elliptic.solve_w_values`` check theirs, :class:`RunConfig` checks a run's,
@@ -55,7 +53,7 @@ statement that the solution blows up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -220,21 +218,20 @@ class _Pair:
                            ((self.flat[:, axis.hi], self.flat[:, axis.lo]) for axis in ws.axes))
 
 
-_NO_DRIFT = (None,) * 4
-
-
 class _Workspace:
     """The explicit scheme's per-grid state, shared by a chain of states.
 
     It keeps the grid's constants, the repellent solver for one delta (taken
     at the first non-constant source), scratch buffers and the per-axis face
     arrays. Its drift, the face differences of chi*v - xi*w, is valid for the
-    (chi, xi) and the v and w arrays it came from, until a step uses it. A
+    (chi, xi) and the v and w arrays it came from; w is new from every solve,
+    so this holds for one state only, though recycled rows come back. A
     ``recycled`` workspace, made by :func:`run` for its own chain, steps in
     two :class:`_Pair` buffers by turns; any other writes each step into a new
-    one, so states that share it may be stepped in any order. It writes only
-    its own buffers, never an array a state outside :func:`run` exposes; it
-    is not for use by two threads at once.
+    one and reads the last one it wrote when handed its rows, so states that
+    share it may be stepped in any order. It writes only its own buffers,
+    never an array a state outside :func:`run` exposes; it is not for use by
+    two threads at once.
     """
 
     def __init__(self, spec: GridSpec, recycled: bool = False):
@@ -249,8 +246,9 @@ class _Workspace:
         phi = self.phi.reshape(-1)
         self.axes = tuple(_Axis(ax, h, phi, self.size)
                           for ax, h in zip(axis_operators(spec.shape), spec.spacing))
-        self.drift_key = _NO_DRIFT  # (chi, xi, v, w) of the current drift
-        self.buffers = (_Pair(self), _Pair(self)) if recycled else None
+        self.drift_key = (None,) * 4  # (chi, xi, v, w) of the current drift
+        self.recycled = recycled
+        self.last = (_Pair(self), _Pair(self))  # the stacks the last step read and wrote
         self.delta = None
         self.solve = None
 
@@ -272,12 +270,15 @@ class _Workspace:
 
     def pairs(self, u: np.ndarray, v: np.ndarray) -> tuple[_Pair, _Pair]:
         """The stack whose rows are u and v, and the stack a step from them writes."""
-        held, out = self.buffers or (_Pair(self), _Pair(self))
-        if u is out.u and v is out.v:  # run()'s chain: write the buffer the state does not use
-            held, out = out, held
-        elif u is not held.u or v is not held.v:
+        held, out = self.last
+        if u is out.u and v is out.v:  # the state the last step made: its stack is at hand
+            held, out = out, (held if self.recycled else _Pair(self))
+        else:  # a copy of u and v: into the spare stack, or a new one
+            if not self.recycled:
+                held, out = _Pair(self), _Pair(self)
             held.u[...] = u
             held.v[...] = v
+        self.last = held, out
         return held, out
 
     def solve_w(self, source: np.ndarray, delta: float) -> np.ndarray:
@@ -345,7 +346,6 @@ def step(
     u = state.u.values
     v = state.v.values
     axes = ws.drift(v, state.w.values, params)
-    ws.drift_key = _NO_DRIFT  # used up: a recycled buffer's rows come back every second step
     held, out = ws.pairs(u, v)
 
     # per axis, the face flux grad(u) - u_face grad(phi) in row 0 and grad(v) in row 1,
@@ -423,9 +423,9 @@ def step(
 
 
 def _copy(state: SimState) -> SimState:
-    """The state on fresh copies of u, v and w, with no workspace: what :func:`run` hands out."""
-    return SimState(state.u.copy(), state.v.copy(), state.w.copy(), state.t, state.step,
-                    state.clipped_mass)
+    """The state on fresh copies of u, v and w, with no workspace: what :func:`run` hands out.
+    w is copied too, as the next drift reads it: a caller writing into w must not reach it."""
+    return replace(state, u=state.u.copy(), v=state.v.copy(), w=state.w.copy())
 
 
 def initial_state(config: RunConfig, forcing: Forcing | None = None) -> SimState:
