@@ -188,67 +188,6 @@ def axis_operators(shape: tuple[int, ...]) -> tuple[AxisOperators, ...]:
     return tuple(axes)
 
 
-def _differences(flat: np.ndarray):
-    """Face flux of a flattened field: its difference across each interior face."""
-
-    def flux(ax, out):
-        np.subtract(flat[ax.hi], flat[ax.lo], out=out)
-
-    return flux
-
-
-def _flux_divergence(face_flux, shape: tuple[int, ...], spacing: tuple[float, ...]) -> np.ndarray:
-    """Sum over axes of the divergence of an interior-face flux; boundary faces carry zero.
-
-    ``face_flux(ax, out)`` writes h times the flux across the interior faces
-    of axis ``ax`` (one of :func:`axis_operators` of ``shape``) into ``out``,
-    so 1/(h*h) of that axis's spacing scales its divergence.
-    """
-    total = None
-    for ax, h in zip(axis_operators(shape), spacing):
-        faces = np.zeros(ax.n_faces)
-        face_flux(ax, faces[ax.interior])
-        if ax.wrap is not None:
-            faces[ax.wrap] = 0.0
-        div = faces[ax.hi] - faces[ax.lo]
-        div *= 1.0 / (h * h)
-        if total is None:
-            total = div
-        else:
-            total += div
-    return total.reshape(shape)
-
-
-def face_differences(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Difference of ``values`` across each interior face, per axis, on the flattened array.
-
-    Entry i of an axis is the face between flat cells i and i + s (its
-    stride); the ``seams`` entries, which join no neighbours, are zero.
-    """
-    flat = values.ravel()
-    out = []
-    for ax in axis_operators(values.shape):
-        diff = flat[ax.hi] - flat[ax.lo]
-        if ax.seams is not None:
-            diff[ax.seams] = 0.0
-        out.append(diff)
-    return tuple(out)
-
-
-def _taxis(lo: np.ndarray, hi: np.ndarray, dphi: np.ndarray, scheme: str) -> np.ndarray:
-    """Taxis face flux u_face * dphi as a new array; u_face is the cell mean ("central")
-    or the donor cell of velocity +grad(phi) ("upwind")."""
-    if scheme == "central":
-        face = lo + hi
-        face *= 0.5
-    elif scheme == "upwind":
-        face = np.where(dphi >= 0.0, lo, hi)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    face *= dphi
-    return face
-
-
 def laplacian_values(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
     """Second-order zero-flux Laplacian on a raw cell array.
 
@@ -256,7 +195,17 @@ def laplacian_values(values: np.ndarray, spacing: tuple[float, ...]) -> np.ndarr
     which is identical to the classical stencil in the interior and telescopes
     to zero total flux.
     """
-    return _flux_divergence(_differences(values.ravel()), values.shape, spacing)
+    flat = values.ravel()
+    total = None
+    for ax, h in zip(axis_operators(values.shape), spacing):
+        faces = np.zeros(ax.n_faces)
+        np.subtract(flat[ax.hi], flat[ax.lo], out=faces[ax.interior])
+        if ax.wrap is not None:
+            faces[ax.wrap] = 0.0
+        div = faces[ax.hi] - faces[ax.lo]
+        div *= 1.0 / (h * h)
+        total = div if total is None else np.add(total, div, out=total)
+    return total.reshape(values.shape)
 
 
 def div_u_grad_values(
@@ -273,40 +222,16 @@ def div_u_grad_values(
     cell for transport with velocity +grad(phi), trading accuracy for
     positivity near steep fronts.
     """
-    u_flat = u.ravel()
-    dphis = face_differences(phi)
-
-    def flux(ax, out):
-        out[...] = _taxis(u_flat[ax.lo], u_flat[ax.hi], dphis[ax.axis], scheme)
-
-    return _flux_divergence(flux, u.shape, spacing)
-
-
-def _drift_flux(u_flat: np.ndarray, dphis: tuple[np.ndarray, ...], scheme: str):
-    """Face flux grad(u) - u_face grad(phi) from the face differences ``dphis`` of phi."""
-
-    def flux(ax, out):
-        lo = u_flat[ax.lo]
-        hi = u_flat[ax.hi]
-        drift = _taxis(lo, hi, dphis[ax.axis], scheme)
-        np.subtract(hi, lo, out=out)
-        out -= drift
-
-    return flux
-
-
-def drift_diffusion_values(
-    u: np.ndarray,
-    phi: np.ndarray,
-    spacing: tuple[float, ...],
-    scheme: str = "central",
-) -> np.ndarray:
-    """Lap(u) - div(u_face grad(phi)) from the one face flux grad(u) - u_face grad(phi).
-
-    Equals ``laplacian_values(u) - div_u_grad_values(u, phi, scheme)`` up to
-    round-off, in one pass per axis; ``scheme`` picks u_face as there.
-    """
-    return _flux_divergence(_drift_flux(u.ravel(), face_differences(phi), scheme), u.shape, spacing)
+    if scheme not in ("central", "upwind"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    total = None
+    for axis, h in enumerate(spacing):
+        lo, hi = np.delete(u, -1, axis), np.delete(u, 0, axis)
+        dphi = np.diff(phi, axis=axis)
+        face = (lo + hi) * 0.5 if scheme == "central" else np.where(dphi >= 0.0, lo, hi)
+        div = np.diff(face * dphi, axis=axis, prepend=0.0, append=0.0) * (1.0 / (h * h))
+        total = div if total is None else total + div
+    return total
 
 
 def integrate(f: ScalarField) -> float:

@@ -25,11 +25,12 @@ by (chi, xi) and the v and w arrays; :func:`step` reuses them when these
 match and forms them otherwise. The step returns u and v as the two rows of
 one (2, cells) array, so the next step takes both fields' face differences
 in one call; one pass per axis then builds the u face flux and the face
-difference of v, in the arithmetic order of ``drift_diffusion_values`` and
-``laplacian_values``. A multiply by a chi, xi, K or gamma of 1.0 is skipped
-(x*1.0 == x). :func:`run` steps its own chain in two recycled such arrays
-and hands out only states on fresh copies of u, v and w; every other chain
-gets new arrays from every step, so its states may be stepped in any order.
+difference of v, in the arithmetic order of the ``np.diff`` oracle in
+``tests/flux_oracle.py`` and of ``laplacian_values``. A multiply by a chi,
+xi, K or gamma of 1.0 is skipped (x*1.0 == x). :func:`run` steps its own
+chain in two recycled such arrays and hands out only states on fresh copies
+of u, v and w; every other chain gets new arrays from every step, so its
+states may be stepped in any order.
 
 Arguments are checked at the boundary: ``f_of``, ``g_of`` and
 ``elliptic.solve_w_values`` check theirs, :class:`RunConfig` checks a run's,
@@ -40,10 +41,10 @@ when gamma*sup u is, and any other source by the maximum of its magnitude.
 The new state carries sup u privately for :func:`run`'s blow-up test.
 
 The step size obeys both the diffusive limit and an advective CFL limit on
-the drift potential. In either mode, negative u or v cells are clipped to
-zero; the clipped u-mass is accumulated (as an absolute magnitude) so that
-mass conservation remains auditable: away from clipping the flux form
-conserves the discrete integral of u to round-off.
+the drift potential; a non-finite drift ends the run there. In either mode,
+negative u or v cells are clipped to zero; the clipped u-mass is accumulated
+(as an absolute magnitude) so that mass conservation remains auditable: away
+from clipping the flux form conserves the discrete integral of u to round-off.
 
 Growth of sup(u) beyond blowup_factor times its initial value stops the run
 with a flag. The flag marks a numerically unresolved aggregation, not a
@@ -59,7 +60,9 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics, elliptic
-from .grid import (  # noqa: F401  (div_u_grad_values, laplacian_values: bindings perfbench traces)
+# div_u_grad_values, laplacian_values and f_of are unused here: perfbench traces these bindings,
+# and they stay only until the benchmark traces the step's kernels (ROADMAP item 1 (a))
+from .grid import (  # noqa: F401
     GridSpec,
     ScalarField,
     axis_operators,
@@ -67,7 +70,7 @@ from .grid import (  # noqa: F401  (div_u_grad_values, laplacian_values: binding
     div_u_grad_values,
     laplacian_values,
 )
-from .kinetics import ModelParams, _f, _g, _scaled, f_of, g_of  # noqa: F401  (f_of: a binding perfbench traces)
+from .kinetics import ModelParams, _f, _g, _scaled, f_of, g_of  # noqa: F401
 
 __all__ = [
     "COMPLETED",
@@ -309,11 +312,21 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
     spacing; the advective bound is h/max|face gradient of chi*v - xi*w| per
     axis (infinite when the drift is flat). The drift's face differences stay
     in the workspace for the :func:`step` that follows.
+
+    A non-finite face difference of chi*v - xi*w raises :class:`NumericalBreakdownError`
+    whose ``dt`` is the diffusive step dt_safety * diffusive bound; a step below
+    ``DT_UNDERFLOW`` raises it with that step.
     """
     ws = _workspace(state)
     adv_bound = np.inf
     for axis in ws.drift(state.v.values, state.w.values, params):
-        peak = float(np.abs(axis.dphi, out=axis.taxis).max()) / axis.h
+        jump = float(np.abs(axis.dphi, out=axis.taxis).max())
+        if not math.isfinite(jump):
+            raise NumericalBreakdownError(
+                f"non-finite face difference of the drift potential chi*v - xi*w at t = {state.t:.6g}",
+                dt_safety * ws.diffusive_bound,
+            )
+        peak = jump / axis.h
         if peak > 0.0:
             adv_bound = min(adv_bound, axis.h / peak)
     dt = dt_safety * min(ws.diffusive_bound, adv_bound)

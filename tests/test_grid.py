@@ -5,13 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import flux_oracle
 from arcsim.grid import (
     GridSpec,
     ScalarField,
     cell_centers,
     div_u_grad_values,
-    drift_diffusion_values,
-    face_differences,
     grad_sq_integral,
     integrate,
     laplacian_values,
@@ -196,64 +195,34 @@ class TestDriftDiffusion:
     @settings(max_examples=300, deadline=None)
     @given(spec=grids, scheme=st.sampled_from(["central", "upwind"]), seed=st.integers(0, 2**32 - 1))
     def test_equals_laplacian_minus_drift(self, spec, scheme, seed):
-        # the stepper's one u flux grad(u) - u_face grad(phi) against the two operators
+        # the stepper's one u flux grad(u) - u_face grad(phi), as the oracle forms it,
+        # against the two operators
         rng = np.random.default_rng(seed)
         u = 5.0 * rng.random(spec.shape)
         phi = rng.uniform(-3.0, 3.0, spec.shape)
         lap = laplacian_values(u, spec.spacing)
         div = div_u_grad_values(u, phi, spec.spacing, scheme)
-        fused = drift_diffusion_values(u, phi, spec.spacing, scheme)
+        fused = flux_oracle.drift_diffusion(u, phi, spec.spacing, scheme)
         bound = 1e-14 * (np.max(np.abs(lap)) + np.max(np.abs(div)))
         assert np.max(np.abs(fused - (lap - div))) <= bound
-
-    def test_unknown_scheme_raises(self):
-        spec = GridSpec.interval(8)
-        with pytest.raises(ValueError):
-            drift_diffusion_values(np.ones(spec.shape), np.ones(spec.shape), spec.spacing, "qick")
 
     @settings(max_examples=200, deadline=None)
     @given(spec=grids, scheme=st.sampled_from(["central", "upwind"]), seed=st.integers(0, 2**32 - 1))
     def test_bitwise_equals_axis_differences(self, spec, scheme, seed):
-        # the flattened face arrays against the same arithmetic on np.diff along each axis
+        # the flattened Laplacian and the cross-diffusion divergence against the same
+        # arithmetic on np.diff along each axis
         rng = np.random.default_rng(seed)
         u = 5.0 * rng.random(spec.shape)
         v = rng.random(spec.shape)
         phi = rng.uniform(-3.0, 3.0, spec.shape)
-        expected_u = expected_v = None
-        for axis, h in enumerate(spec.spacing):
-            lo = u[(slice(None),) * axis + (slice(None, -1),)]
-            hi = u[(slice(None),) * axis + (slice(1, None),)]
-            dphi = np.diff(phi, axis=axis)
-            face = (lo + hi) * 0.5 if scheme == "central" else np.where(dphi >= 0.0, lo, hi)
-            pad = [(0, 0)] * spec.dim
-            pad[axis] = (1, 1)
-            div_u = np.diff(np.pad((hi - lo) - face * dphi, pad), axis=axis) * (1.0 / (h * h))
-            div_v = np.diff(np.pad(np.diff(v, axis=axis), pad), axis=axis) * (1.0 / (h * h))
-            expected_u = div_u if expected_u is None else expected_u + div_u
-            expected_v = div_v if expected_v is None else expected_v + div_v
-        fused = drift_diffusion_values(u, phi, spec.spacing, scheme)
-        for got, expected in ((fused, expected_u), (laplacian_values(v, spec.spacing), expected_v)):
+        pairs = (
+            (laplacian_values(v, spec.spacing), flux_oracle.laplacian(v, spec.spacing)),
+            (div_u_grad_values(u, phi, spec.spacing, scheme),
+             flux_oracle.div_u_grad(u, phi, spec.spacing, scheme)),
+        )
+        for got, expected in pairs:
+            assert got.shape == spec.shape
             assert got.tobytes() == expected.tobytes()
-
-
-def face_difference_peaks(values):
-    """Largest |difference| across an interior face per axis: the peak stable_dt bounds dt by."""
-    return [float(np.abs(diff).max()) for diff in face_differences(values)]
-
-
-class TestFaceDifferencePeaks:
-    @settings(max_examples=100, deadline=None)
-    @given(spec=grids, seed=st.integers(0, 2**32 - 1))
-    def test_matches_axis_differences(self, spec, seed):
-        values = np.random.default_rng(seed).uniform(-3.0, 3.0, spec.shape)
-        expected = [float(np.max(np.abs(np.diff(values, axis=axis)))) for axis in range(spec.dim)]
-        assert face_difference_peaks(values) == expected
-
-    def test_row_ends_are_not_neighbours(self):
-        # along the last axis of a 2D grid, the last cell of a row and the first
-        # of the next share no face
-        values = np.repeat([[0.0], [10.0], [20.0]], 4, axis=1)
-        assert face_difference_peaks(values) == [10.0, 0.0]
 
 
 class TestGradSqIntegral:

@@ -10,15 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flux_oracle
 from arcsim import diagnostics, elliptic, grid, stepper
-from arcsim.grid import (
-    GridSpec,
-    ScalarField,
-    cell_centers,
-    drift_diffusion_values,
-    integrate,
-    laplacian_values,
-)
+from arcsim.grid import GridSpec, ScalarField, cell_centers, integrate
 from arcsim.kinetics import ModelParams, f_of, g_of
 from arcsim.stepper import (
     BLOWUP_FLAGGED,
@@ -116,6 +110,64 @@ class TestStableDt:
         )
         with pytest.raises(NumericalBreakdownError):
             stable_dt(state, make_params(chi=1e30))
+
+    def test_row_ends_are_not_neighbours(self):
+        # along the last axis of a 2D grid, the last cell of a row and the first of the
+        # next share no face: v's rows are flat, so the axis-0 differences alone bound dt
+        spec = GridSpec.rectangle((3, 4), (3.0, 1.0))
+        state = SimState(
+            u=ScalarField.full(spec, 1.0),
+            v=ScalarField(spec, np.repeat([[0.0], [10.0], [20.0]], 4, axis=1)),
+            w=ScalarField.full(spec, 0.0),
+            t=0.0,
+            step=0,
+        )
+        h = spec.spacing[0]
+        advective = h / (100.0 / h)  # chi = 10 times each axis-0 difference of 10
+        assert advective < spec.diffusive_bound
+        assert stable_dt(state, make_params(chi=10.0, n=2), 0.4) == 0.4 * advective
+
+    @pytest.mark.parametrize("spec", [GridSpec.interval(16), GridSpec.rectangle((6, 5))])
+    @pytest.mark.parametrize("case", ["nan in w", "inf in w", "a difference overflows"])
+    def test_nonfinite_drift_is_named(self, spec, case):
+        # no step size is formed from a drift whose face differences are not all finite;
+        # the error carries the diffusive step
+        w = np.zeros(spec.shape)
+        if case == "nan in w":
+            w.flat[-1] = np.nan
+        elif case == "inf in w":
+            w.flat[-1] = np.inf
+        else:  # chi*v - xi*w is finite, the difference of its last two cells is not
+            w.flat[-2:] = (1.5e308, -1.5e308)
+        state = SimState(ScalarField.full(spec, 1.0), ScalarField.full(spec, 1.0),
+                         ScalarField(spec, w), 0.5, 3)
+        message = r"^non-finite face difference of the drift potential chi\*v - xi\*w at t = 0\.5$"
+        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError, match=message) as info:
+            stable_dt(state, make_params(n=spec.dim), 0.4)
+        assert info.value.dt == 0.4 * spec.diffusive_bound
+
+    def test_repellent_overflow_is_named_by_the_drift(self):
+        # the 1D solve's running sums overflow w to inf on a finite source near 1e307; the
+        # next step bound names the drift, so no step is taken on it
+        spec = GridSpec.interval(32)
+        x = cell_centers(spec)[0]
+        params = make_params(gamma=10.0, xi=1e-300)
+        config = RunConfig(spec, params, ScalarField.full(spec, 1e306),
+                           ScalarField(spec, 1.0 + 0.5 * np.cos(np.pi * x)), t_end=0.01)
+        state = stepper.initial_state(config)
+        dt = stable_dt(state, params)
+        assert dt == 0.4 * spec.diffusive_bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = step(state, params, dt)
+            assert np.isposinf(state.w.values).all()
+            message = r"drift potential chi\*v - xi\*w at t = 0\.000195313$"
+            with pytest.raises(NumericalBreakdownError, match=message) as info:
+                stable_dt(state, params)
+            records, final, termination = run(config)
+        assert info.value.dt == dt
+        # the run ends on that state, recording the diffusive step it could not bound
+        assert termination == BREAKDOWN and final.step == 1
+        assert (records[-1].t, records[-1].dt_current) == (dt, dt)
 
 
 class TestStep:
@@ -280,13 +332,13 @@ def reference_stable_dt(state, params, dt_safety):
 
 
 def reference_step(state, params, dt, positivity_mode, forcing):
-    """One explicit step composed of the drift-diffusion flux, the Laplacian and the kinetics."""
+    """One explicit step composed of the oracle's drift-diffusion flux and Laplacian and the kinetics."""
     spec = state.u.spec
     u, v = state.u.values, state.v.values
     drift = params.chi * v - params.xi * state.w.values
     scheme = "upwind" if positivity_mode == "upwind" else "central"
-    u_new = drift_diffusion_values(u, drift, spec.spacing, scheme)
-    v_new = laplacian_values(v, spec.spacing)
+    u_new = flux_oracle.drift_diffusion(u, drift, spec.spacing, scheme)
+    v_new = flux_oracle.laplacian(v, spec.spacing)
     v_new -= params.K * u**params.alpha * v  # the rate laws multiply by K and gamma even at 1.0
     if forcing is not None:
         u_new += forcing.u(cell_centers(spec), state.t)
