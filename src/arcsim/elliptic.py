@@ -1,18 +1,20 @@
 """Zero-flux screened-Poisson solves for the repellent field.
 
 At every time level the repellent w satisfies (delta*I - Lap) w = source with
-reflecting Neumann boundaries. The operator is symmetric positive definite
-for delta > 0 and is solved directly, with one cached solver per grid and
-delta, in numpy alone. In 1D, the inverse of the symmetric tridiagonal
-operator is semiseparable (Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)
-707-728), so a solve is two running sums and a few products, O(N), and a
-nonnegative source gives w >= 0 exactly. In 2D, the stencil's cosine
-eigenbasis as cached orthonormal DCT-II matrices, O(n^3) per solve on n x n
-cells. Against scipy.fft's DCT (numpy 2.4 with OpenBLAS, scipy 1.17, 2-vCPU
-x86) that is 2.3x faster at 64 cells per axis, even near 100 on one BLAS
-thread or near 150 on two (OpenBLAS splits from ~128), and 1.4-2x slower at
-192. Its round-off grows faster too: relative residual 5e-12 at 64, 3e-11 at
-128 and 1.7e-10 at 256 cells per axis (FFT: 2e-12, 8e-12, 3e-11).
+reflecting Neumann boundaries. The operator is symmetric positive definite for
+delta > 0 and is solved directly in numpy alone, by the one solver per grid
+and delta in this module's cache, the only store of solvers. In 1D, the
+inverse of the symmetric tridiagonal operator is semiseparable (Meurant, SIAM
+J. Matrix Anal. Appl. 13 (1992) 707-728), so a solve is two running sums and a
+few products, O(N), and a nonnegative source gives w >= 0 exactly. In 2D, the
+stencil's cosine eigenbasis as orthonormal DCT-II matrices, O(n^3) per solve
+on n x n cells. Against scipy.fft's DCT (numpy 2.4 with OpenBLAS, scipy 1.17,
+2-vCPU x86) that is 2.3x faster at 64 cells per axis, even near 100 on one
+BLAS thread or near 150 on two (OpenBLAS splits from ~128), and 1.4-2x slower
+at 192. Its round-off grows faster too: relative residual 5e-12 at 64, 3e-11
+at 128 and 1.7e-10 at 256 cells per axis (FFT: 2e-12, 8e-12, 3e-11). The solve
+is linear, of sums, products and quotients alone, so scaling a source past
+2^500 down by a power of two, and w back up, is exact.
 :func:`relative_residual` is the one residual definition.
 """
 
@@ -31,6 +33,9 @@ __all__ = ["solve_w_values", "relative_residual"]
 # Largest growth of phi within one block of the 1D solve: every scaled term and
 # prefix stays within e^300 (~1e130) of the source, far from overflow.
 _BLOCK_GROWTH = 300.0
+# A peak |b| >= 2^500 (~3e150) is scaled into [2^499, 2^500): then neither e^_BLOCK_GROWTH
+# times the cell count (1D) nor the basis sums (2D) take a term past the double range.
+_PEAK_BOUND = 2.0**500
 
 
 def _interval_solver(n: int, h: float, delta: float):
@@ -166,20 +171,20 @@ def solve_w_values(source: np.ndarray, spacing: tuple[float, ...], delta: float)
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     b = np.asarray(source, dtype=float)
-    return _screened_solve(b, delta, lambda: _solver(b.shape, spacing, delta))
+    return _screened_solve(b, spacing, delta, float(np.abs(b).max()))
 
 
-def _screened_solve(b: np.ndarray, delta: float, solver) -> np.ndarray:
-    """:func:`solve_w_values` of a float array b for a delta > 0, unchecked.
-
-    ``solver()`` returns the direct solve for b's grid and delta; it is called
-    only for a source that is not constant.
-    """
+def _screened_solve(b: np.ndarray, spacing: tuple[float, ...], delta: float, peak: float) -> np.ndarray:
+    """:func:`solve_w_values` of a float array b whose max|b| is ``peak``, for delta > 0, unchecked."""
     if b.flat[0] == b.flat[-1] and b.min() == b.max():
         # constant source (end values screen out most others before two reductions):
         # w = b/delta, exact and bitwise flat, as the stencil annihilates constants
         return b / delta
-    return solver()(b)
+    solve = _solver(b.shape, spacing, delta)
+    if peak < _PEAK_BOUND:
+        return solve(b)
+    e = math.frexp(peak / _PEAK_BOUND)[1]  # b * 2^-e peaks in [2^499, 2^500); 0 for inf and NaN
+    return np.ldexp(solve(np.ldexp(b, -e)), e)
 
 
 def relative_residual(

@@ -18,19 +18,19 @@ step before the elliptic solve.
 Each step forms every quantity once, and a chain of states keeps its per-grid
 work in one private workspace, made at its first :func:`stable_dt` or
 :func:`step` and handed from each state to the next. The workspace holds the
-grid constants, the cell centres, the repellent solver for the current delta,
-scratch buffers and one zero-walled face array per axis. :func:`stable_dt`
-leaves the face differences of the drift potential chi*v - xi*w there, keyed
-by (chi, xi) and the v and w arrays; :func:`step` reuses them when these
-match and forms them otherwise. The step returns u and v as the two rows of
-one (2, cells) array, so the next step takes both fields' face differences
-in one call; one pass per axis then builds the u face flux and the face
-difference of v, in the arithmetic order of the ``np.diff`` oracle in
-``tests/flux_oracle.py`` and of ``laplacian_values``. A multiply by a chi,
-xi, K or gamma of 1.0 is skipped (x*1.0 == x). :func:`run` steps its own
-chain in two recycled such arrays and hands out only states on fresh copies
-of u, v and w; every other chain gets new arrays from every step, so its
-states may be stepped in any order.
+grid, its cell centres, scratch buffers and one zero-walled face array per
+axis, but no solver: each solve takes it from ``elliptic``'s cache, the one
+store. :func:`stable_dt` leaves the face differences of the drift potential
+chi*v - xi*w there, keyed by (chi, xi) and the v and w arrays; :func:`step`
+reuses them when these match and forms them otherwise. The step returns u and
+v as the two rows of one (2, cells) array, so the next step takes both fields'
+face differences in one call; one pass per axis then builds the u face flux
+and the face difference of v, in the arithmetic order of the ``np.diff``
+oracle in ``tests/flux_oracle.py`` and of ``laplacian_values``. A multiply by
+a chi, xi, K or gamma of 1.0 is skipped (x*1.0 == x). :func:`run` steps its
+own chain in two recycled such arrays and hands out only states on fresh
+copies of u, v and w; every other chain gets new arrays from every step, so
+its states may be stepped in any order.
 
 Arguments are checked at the boundary: ``f_of``, ``g_of`` and
 ``elliptic.solve_w_values`` check theirs, :class:`RunConfig` checks a run's,
@@ -224,25 +224,22 @@ class _Pair:
 class _Workspace:
     """The explicit scheme's per-grid state, shared by a chain of states.
 
-    It keeps the grid's constants, the repellent solver for one delta (taken
-    at the first non-constant source), scratch buffers and the per-axis face
-    arrays. Its drift, the face differences of chi*v - xi*w, is valid for the
-    (chi, xi) and the v and w arrays it came from; w is new from every solve,
-    so this holds for one state only, though recycled rows come back. A
-    ``recycled`` workspace, made by :func:`run` for its own chain, steps in
-    two :class:`_Pair` buffers by turns; any other writes each step into a new
-    one and reads the last one it wrote when handed its rows, so states that
-    share it may be stepped in any order. It writes only its own buffers,
-    never an array a state outside :func:`run` exposes; it is not for use by
-    two threads at once.
+    It keeps the grid, its cell centres, scratch buffers and the per-axis face
+    arrays, and no solver. Its drift, the face differences of chi*v - xi*w, is
+    valid for the (chi, xi) and the v and w arrays it came from; w is new from
+    every solve, so this holds for one state only, though recycled rows come
+    back. A ``recycled`` workspace, made by :func:`run` for its own chain,
+    steps in two :class:`_Pair` buffers by turns; any other writes each step
+    into a new one and reads the last one it wrote when handed its rows, so
+    states that share it may be stepped in any order. It writes only its own
+    buffers, never an array a state outside :func:`run` exposes; it is not for
+    use by two threads at once.
     """
 
     def __init__(self, spec: GridSpec, recycled: bool = False):
         self.spec = spec
         self.size = spec.total_cells
         self.pair_shape = (2, *spec.shape)
-        self.diffusive_bound = spec.diffusive_bound
-        self.cell_volume = spec.cell_volume
         self.centers = cell_centers(spec)
         self.scratch = np.empty(spec.shape)
         self.phi = np.empty(spec.shape)
@@ -252,10 +249,8 @@ class _Workspace:
         self.drift_key = (None,) * 4  # (chi, xi, v, w) of the current drift
         self.recycled = recycled
         self.last = (_Pair(self), _Pair(self))  # the stacks the last step read and wrote
-        self.delta = None
-        self.solve = None
 
-    def __reduce__(self):  # the scratch and the solver stay behind: a copy starts afresh
+    def __reduce__(self):  # the buffers stay behind: a copy starts afresh
         return _Workspace, (self.spec,)
 
     def drift(self, v: np.ndarray, w: np.ndarray, params: ModelParams) -> tuple[_Axis, ...]:
@@ -283,18 +278,6 @@ class _Workspace:
             held.v[...] = v
         self.last = held, out
         return held, out
-
-    def solve_w(self, source: np.ndarray, delta: float) -> np.ndarray:
-        """w from (delta*I - Lap) w = source, as ``elliptic.solve_w_values`` gives it."""
-        if delta != self.delta:
-            self.delta, self.solve = delta, None
-        return elliptic._screened_solve(source, delta, self.solver)
-
-    def solver(self):
-        """The direct solve for ``self.delta``, taken once from the solver cache."""
-        if self.solve is None:
-            self.solve = elliptic._solver(self.spec.shape, self.spec.spacing, self.delta)
-        return self.solve
 
 
 def _workspace(state: SimState) -> _Workspace:
@@ -324,12 +307,12 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
         if not math.isfinite(jump):
             raise NumericalBreakdownError(
                 f"non-finite face difference of the drift potential chi*v - xi*w at t = {state.t:.6g}",
-                dt_safety * ws.diffusive_bound,
+                dt_safety * ws.spec.diffusive_bound,
             )
         peak = jump / axis.h
         if peak > 0.0:
             adv_bound = min(adv_bound, axis.h / peak)
-    dt = dt_safety * min(ws.diffusive_bound, adv_bound)
+    dt = dt_safety * min(ws.spec.diffusive_bound, adv_bound)
     if dt < DT_UNDERFLOW:
         raise NumericalBreakdownError(f"stable step size underflow: dt = {dt:.3e}", dt)
     return dt
@@ -398,7 +381,7 @@ def step(
     clipped = state.clipped_mass
     if not new.min() >= 0.0:  # a NaN also leaves the certificate below to decide
         if u_new.min() < 0.0:
-            clipped += float(-u_new[u_new < 0.0].sum()) * ws.cell_volume
+            clipped += float(-u_new[u_new < 0.0].sum()) * ws.spec.cell_volume
             np.maximum(u_new, 0.0, out=u_new)
         if v_new.min() < 0.0:
             np.maximum(v_new, 0.0, out=v_new)
@@ -420,7 +403,7 @@ def step(
         )
     if w_source is None:
         w_source = _scaled(u_new, params.gamma, ws.scratch)
-    w_new = ws.solve_w(w_source, params.delta)
+    w_new = elliptic._screened_solve(w_source, ws.spec.spacing, params.delta, source_peak)
 
     child = SimState(
         u=ScalarField._wrap(ws.spec, u_new),

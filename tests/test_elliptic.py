@@ -254,6 +254,44 @@ class TestDenseOracle:
         assert err <= 1e-12
 
 
+scaling_cases = pytest.mark.parametrize(
+    "spec,delta",
+    [
+        (GridSpec.interval(200), 1.0),  # one block
+        (GridSpec.interval(400), 1e6),  # three blocks
+        (GridSpec.rectangle((16, 24), (1.0, 2.0)), 0.5),
+    ],
+    ids=["1d one block", "1d three blocks", "2d"],
+)
+
+
+class TestPowerOfTwoScaling:
+    @scaling_cases
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-200, 1000), seed=st.integers(0, 2**32 - 1))
+    @example(k=500, seed=0)  # max|b| is in [0.5, 1): its peak is just below 2^500
+    @example(k=501, seed=0)  # and just past it
+    @example(k=1000, seed=1)
+    def test_scaled_source_gives_scaled_w_bitwise(self, spec, delta, k, seed):
+        # the solve is linear in sums, products and quotients: while every value stays
+        # normal, b * 2^k gives w * 2^k exactly, on either side of the peak bound 2^500
+        b = random_source(spec, seed, -1.0, 1.0).values
+        w = elliptic.solve_w_values(b, spec.spacing, delta)
+        scaled = elliptic.solve_w_values(np.ldexp(b, k), spec.spacing, delta)
+        assert np.array_equal(scaled, np.ldexp(w, k))
+
+    @scaling_cases
+    def test_source_near_the_double_range_is_solved(self, spec, delta):
+        # unscaled, the 1D running sums and the 2D basis sums pass 1.8e308 on this source
+        b = 1e307 * (1.0 + 0.5 * random_source(spec, 3).values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = elliptic.solve_w_values(b, spec.spacing, delta)
+        assert np.isfinite(w).all()
+        # eps times the condition number 4/(h^2 delta) ~ 1.6e5 of the one-block case
+        assert elliptic.relative_residual(w, b, spec.spacing, delta) <= 1e-10
+
+
 class TestValidation:
     def test_delta_positive_required(self):
         spec = GridSpec.interval(8)

@@ -146,29 +146,6 @@ class TestStableDt:
             stable_dt(state, make_params(n=spec.dim), 0.4)
         assert info.value.dt == 0.4 * spec.diffusive_bound
 
-    def test_repellent_overflow_is_named_by_the_drift(self):
-        # the 1D solve's running sums overflow w to inf on a finite source near 1e307; the
-        # next step bound names the drift, so no step is taken on it
-        spec = GridSpec.interval(32)
-        x = cell_centers(spec)[0]
-        params = make_params(gamma=10.0, xi=1e-300)
-        config = RunConfig(spec, params, ScalarField.full(spec, 1e306),
-                           ScalarField(spec, 1.0 + 0.5 * np.cos(np.pi * x)), t_end=0.01)
-        state = stepper.initial_state(config)
-        dt = stable_dt(state, params)
-        assert dt == 0.4 * spec.diffusive_bound
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = step(state, params, dt)
-            assert np.isposinf(state.w.values).all()
-            message = r"drift potential chi\*v - xi\*w at t = 0\.000195313$"
-            with pytest.raises(NumericalBreakdownError, match=message) as info:
-                stable_dt(state, params)
-            records, final, termination = run(config)
-        assert info.value.dt == dt
-        # the run ends on that state, recording the diffusive step it could not bound
-        assert termination == BREAKDOWN and final.step == 1
-        assert (records[-1].t, records[-1].dt_current) == (dt, dt)
-
 
 class TestStep:
     def test_homogeneous_fixed_point_for_u(self):
@@ -188,6 +165,36 @@ class TestStep:
         message = r"^positivity_mode must be one of \('clip', 'upwind'\)$"
         with pytest.raises(ValueError, match=message):
             step(state, params, 1e-3, positivity_mode="bogus")
+
+    def test_repellent_near_the_double_range_is_solved(self):
+        # a finite source near 1e307 is solved scaled by a power of two, so the step's w is
+        # finite and solved; the next step's u then overflows and its certificate names it
+        spec = GridSpec.interval(32)
+        x = cell_centers(spec)[0]
+        params = make_params(gamma=10.0, xi=1e-300)
+        config = RunConfig(spec, params, ScalarField.full(spec, 1e306),
+                           ScalarField(spec, 1.0 + 0.5 * np.cos(np.pi * x)), t_end=0.01)
+        state = stepper.initial_state(config)
+        dt = stable_dt(state, params)
+        assert dt == 0.4 * spec.diffusive_bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = step(state, params, dt)
+        w = state.w.values
+        assert np.isfinite(w).all() and w.max() > 1e307
+        assert elliptic.relative_residual(w, 10.0 * state.u.values, spec.spacing, 1.0) <= 1e-12
+        next_dt = stable_dt(state, params)
+        message = r"^non-finite u, v or repellent source g\(u\) at t = 0\.000199802$"
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalBreakdownError, match=message) as info:
+                step(state, params, next_dt)
+            records, final, termination = run(config)
+        assert info.value.dt == next_dt
+        # the run ends on the solved state, recording the step that overflowed
+        assert termination == BREAKDOWN and final.step == 1
+        assert np.array_equal(final.w.values, w)
+        assert (records[-1].t, records[-1].dt_current) == (dt, next_dt)
+        assert records[-1].sup_w == w.max() and records[-1].w_residual <= 1e-12
 
     def test_homogeneous_v_follows_euler_ode(self):
         spec = GridSpec.interval(16)
@@ -287,8 +294,9 @@ class TestStep:
         ],
     )
     def test_cached_operators_are_per_grid_and_delta(self, specs):
-        # equal shapes, different spacings and deltas: interleaved steps must
-        # give bitwise the states each case gives when it runs alone
+        # equal shapes, different spacings and deltas: interleaved steps, a chain whose
+        # delta changes and changes back, and a chain whose solver cache is emptied between
+        # its steps must each give bitwise the states of one-delta chains never cleared
         cases = [(spec, make_params(delta=delta)) for spec in specs for delta in (1.0, 2.5)]
 
         def start(spec, params):
@@ -301,22 +309,45 @@ class TestStep:
             grid.axis_operators.cache_clear()
             elliptic._solver.cache_clear()
 
+        def chain(state, params, steps, between=lambda: None):
+            states = []
+            for _ in range(steps):
+                between()
+                state = step(state, params, 1e-4)
+                states.append(state)
+            return states
+
+        def assert_same(states, expected):
+            assert len(states) == len(expected)
+            for a, b in zip(states, expected):
+                for name in ("u", "v", "w"):
+                    assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+
         alone = []
         for spec, params in cases:
             clear_caches()
-            state = start(spec, params)
-            for _ in range(5):
-                state = step(state, params, 1e-4)
-            alone.append(state)
+            alone.append(chain(start(spec, params), params, 5))
 
         clear_caches()
         states = [start(spec, params) for spec, params in cases]
         for _ in range(5):
             states = [step(s, params, 1e-4) for s, (_, params) in zip(states, cases)]
+        assert_same(states, [expected[-1] for expected in alone])
 
-        for a, b in zip(alone, states):
-            for name in ("u", "v", "w"):
-                assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+        for (spec, params), expected in zip(cases, alone):
+            assert_same(chain(start(spec, params), params, 5, elliptic._solver.cache_clear), expected)
+
+        # delta 1.0 for two steps, 2.5 for two, then 1.0 again: each stretch must be the
+        # one-delta chain from a copy of its first state, which shares no workspace
+        for spec in specs:
+            state = start(spec, make_params(delta=1.0))
+            for delta, steps in ((1.0, 2), (2.5, 2), (1.0, 1)):
+                params = make_params(delta=delta)
+                expected = chain(dataclasses.replace(state), params, steps)
+                states = chain(state, params, steps)
+                assert_same(states, expected)
+                assert states[0]._workspace is state._workspace is not expected[0]._workspace
+                state = states[-1]
 
 
 def reference_stable_dt(state, params, dt_safety):
