@@ -101,10 +101,10 @@ def _interval_solver(n: int, h: float, delta: float):
     if len(blocks) == 1:  # phi grows by at most e^_BLOCK_GROWTH: the sums run over all cells
         def solve(b):
             x = b * rho
-            np.add.accumulate(x, out=x)
+            np.add.accumulate(x, 0, None, x)
             x *= kappa
             r = x[::-1]
-            np.add.accumulate(r, out=r)
+            np.add.accumulate(r, 0, None, r)
             x *= rho
             return x
         return solve
@@ -176,7 +176,7 @@ def solve_w_values(source: np.ndarray, spacing: tuple[float, ...], delta: float)
 
 def _screened_solve(b: np.ndarray, spacing: tuple[float, ...], delta: float, peak: float) -> np.ndarray:
     """:func:`solve_w_values` of a float array b whose max|b| is ``peak``, for delta > 0, unchecked."""
-    if b.flat[0] == b.flat[-1] and b.min() == b.max():
+    if b.item(0) == b.item(-1) and np.minimum.reduce(b, None) == np.maximum.reduce(b, None):
         # constant source (end values screen out most others before two reductions):
         # w = b/delta, exact and bitwise flat, as the stencil annihilates constants
         return b / delta

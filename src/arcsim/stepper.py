@@ -28,9 +28,12 @@ face differences in one call; one pass per axis then builds the u face flux
 and the face difference of v, in the arithmetic order of the ``np.diff``
 oracle in ``tests/flux_oracle.py`` and of ``laplacian_values``. A multiply by
 a chi, xi, K or gamma of 1.0 is skipped (x*1.0 == x). :func:`run` steps its
-own chain in two recycled such arrays and hands out only states on fresh
-copies of u, v and w; every other chain gets new arrays from every step, so
-its states may be stepped in any order.
+own chain in two recycled such arrays, each with one state shell that the
+step refreshes in place of a new state, and hands out only states on fresh
+copies of u, v and w; every other chain gets new arrays and a new state from
+every step, so its states may be stepped in any order. The per-step calls
+reduce with ``np.maximum.reduce``/``np.minimum.reduce``, as ``ndarray.max``
+and ``min`` add a Python frame, and pass ``out`` positionally.
 
 Arguments are checked at the boundary: ``f_of``, ``g_of`` and
 ``elliptic.solve_w_values`` check theirs, :class:`RunConfig` checks a run's,
@@ -210,15 +213,25 @@ class _Axis:
 
 class _Pair:
     """u and v as the rows of one (2, cells) array, and per axis in ``sides`` the views
-    of the cells above and below each interior face, both rows and the u row."""
+    of the cells above and below each interior face, both rows and the u row.
 
-    __slots__ = ("flat", "u", "v", "sides")
+    The pair also owns ``state``, one :class:`SimState` shell whose u and v wrap its
+    rows: each step that writes the pair refreshes the shell's w, t, step, clipped
+    mass and sup u in place and returns it. Only a ``recycled`` workspace writes a
+    pair twice; any other writes each step into a new pair, so its shells are new.
+    """
+
+    __slots__ = ("flat", "u", "v", "sides", "state")
 
     def __init__(self, ws: _Workspace):
         self.flat = np.empty((2, ws.size))
         self.u, self.v = self.flat.reshape(ws.pair_shape)
         self.sides = tuple((hi, lo, hi[0], lo[0]) for hi, lo in
                            ((self.flat[:, axis.hi], self.flat[:, axis.lo]) for axis in ws.axes))
+        spec = ws.spec
+        self.state = SimState(ScalarField._wrap(spec, self.u), ScalarField._wrap(spec, self.v),
+                              ScalarField._wrap(spec, None), 0.0, 0)
+        self.state._workspace = ws
 
 
 class _Workspace:
@@ -229,11 +242,12 @@ class _Workspace:
     valid for the (chi, xi) and the v and w arrays it came from; w is new from
     every solve, so this holds for one state only, though recycled rows come
     back. A ``recycled`` workspace, made by :func:`run` for its own chain,
-    steps in two :class:`_Pair` buffers by turns; any other writes each step
-    into a new one and reads the last one it wrote when handed its rows, so
-    states that share it may be stepped in any order. It writes only its own
-    buffers, never an array a state outside :func:`run` exposes; it is not for
-    use by two threads at once.
+    steps in two :class:`_Pair` buffers by turns, so it hands out each pair's
+    state shell again and again, refreshed in place. Any other workspace writes
+    each step into a new pair, whose shell is a new state, and reads the last
+    pair it wrote when handed its rows, so states that share it may be stepped
+    in any order. It writes only its own buffers, never an array a
+    state outside :func:`run` exposes; it is not for use by two threads at once.
     """
 
     def __init__(self, spec: GridSpec, recycled: bool = False):
@@ -242,6 +256,7 @@ class _Workspace:
         self.pair_shape = (2, *spec.shape)
         self.centers = cell_centers(spec)
         self.scratch = np.empty(spec.shape)
+        self.magnitude = np.empty(spec.shape)
         self.phi = np.empty(spec.shape)
         phi = self.phi.reshape(-1)
         self.axes = tuple(_Axis(ax, h, phi, self.size)
@@ -258,9 +273,9 @@ class _Workspace:
         key = self.drift_key
         chi, xi = params.chi, params.xi
         if key[2] is not v or key[3] is not w or key[0] != chi or key[1] != xi:
-            np.subtract(_scaled(v, chi, self.scratch), _scaled(w, xi, self.phi), out=self.phi)
+            np.subtract(_scaled(v, chi, self.scratch), _scaled(w, xi, self.phi), self.phi)
             for axis in self.axes:
-                np.subtract(axis.phi_hi, axis.phi_lo, out=axis.dphi)
+                np.subtract(axis.phi_hi, axis.phi_lo, axis.dphi)
                 if axis.dphi_seams is not None:
                     axis.dphi_seams.fill(0.0)
             self.drift_key = (chi, xi, v, w)
@@ -303,7 +318,7 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
     ws = _workspace(state)
     adv_bound = np.inf
     for axis in ws.drift(state.v.values, state.w.values, params):
-        jump = float(np.abs(axis.dphi, out=axis.taxis).max())
+        jump = float(np.maximum.reduce(np.absolute(axis.dphi, axis.taxis)))
         if not math.isfinite(jump):
             raise NumericalBreakdownError(
                 f"non-finite face difference of the drift potential chi*v - xi*w at t = {state.t:.6g}",
@@ -348,9 +363,9 @@ def step(
     # then their divergence, summed over the axes into the one new (2, cells) array
     new = out.flat
     for axis, (hi, lo, hi_u, lo_u) in zip(axes, held.sides):
-        np.subtract(hi, lo, out=axis.interior)
+        np.subtract(hi, lo, axis.interior)
         if positivity_mode == "clip":
-            taxis = np.add(lo_u, hi_u, out=axis.taxis)
+            taxis = np.add(lo_u, hi_u, axis.taxis)
             taxis *= 0.5
         else:
             taxis = np.where(axis.dphi >= 0.0, lo_u, hi_u)
@@ -359,7 +374,7 @@ def step(
         if axis.wrap is not None:
             axis.wrap.fill(0.0)
         div = new if axis.div is None else axis.div
-        np.subtract(axis.faces_hi, axis.faces_lo, out=div)
+        np.subtract(axis.faces_hi, axis.faces_lo, div)
         div *= axis.inv_h2
         if div is not new:
             new += div
@@ -379,7 +394,7 @@ def step(
     new += held.flat
 
     clipped = state.clipped_mass
-    if not new.min() >= 0.0:  # a NaN also leaves the certificate below to decide
+    if not np.minimum.reduce(new, None) >= 0.0:  # a NaN also leaves the certificate below to decide
         if u_new.min() < 0.0:
             clipped += float(-u_new[u_new < 0.0].sum()) * ws.spec.cell_volume
             np.maximum(u_new, 0.0, out=u_new)
@@ -387,16 +402,17 @@ def step(
             np.maximum(v_new, 0.0, out=v_new)
 
     # each row is now >= 0 or holds a NaN, so a finite row maximum certifies every entry
-    sup_u, sup_v = new.max(axis=1).tolist()
+    sup_u, sup_v = np.maximum.reduce(new, 1).tolist()
     t_new = state.t + dt
-    if params.l == 1.0 and (forcing is None or forcing.w_source is None):
+    forced = forcing is not None and forcing.w_source is not None
+    if params.l == 1.0 and not forced:
         # gamma*u >= 0 is finite everywhere exactly when gamma*sup u is, x -> gamma*x being monotone
         w_source, source_peak = None, params.gamma * sup_u
     else:
-        w_source = _g(u_new, params)
-        if forcing is not None and forcing.w_source is not None:
-            w_source += forcing.w_source(ws.centers, t_new)
-        source_peak = float(np.abs(w_source, out=ws.scratch).max())
+        w_source = _scaled(u_new, params.gamma, ws.scratch) if params.l == 1.0 else _g(u_new, params)
+        if forced:
+            w_source = np.add(w_source, forcing.w_source(ws.centers, t_new), ws.scratch)
+        source_peak = float(np.maximum.reduce(np.absolute(w_source, ws.magnitude), None))
     if not (math.isfinite(sup_u) and math.isfinite(sup_v) and math.isfinite(source_peak)):
         raise NumericalBreakdownError(
             f"non-finite u, v or repellent source g(u) at t = {t_new:.6g}", dt
@@ -405,15 +421,11 @@ def step(
         w_source = _scaled(u_new, params.gamma, ws.scratch)
     w_new = elliptic._screened_solve(w_source, ws.spec.spacing, params.delta, source_peak)
 
-    child = SimState(
-        u=ScalarField._wrap(ws.spec, u_new),
-        v=ScalarField._wrap(ws.spec, v_new),
-        w=ScalarField._wrap(ws.spec, w_new),
-        t=t_new,
-        step=state.step + 1,
-        clipped_mass=clipped,
-    )
-    child._workspace = ws
+    child = out.state  # the pair's shell, which already wraps u_new and v_new
+    child.w.values = w_new
+    child.t = t_new
+    child.step = state.step + 1
+    child.clipped_mass = clipped
     child._sup_u = sup_u
     return child
 
@@ -448,12 +460,19 @@ def run(
     COMPLETED, BLOWUP_FLAGGED (sup(u) exceeded blowup_factor times its initial
     value) or BREAKDOWN (non-finite values or step underflow; the last record
     then carries the step size that failed as its ``dt_current``).
-    ``callback(state, record)`` fires at every emitted record.
+    ``callback(state, record)`` fires at every emitted record, under the
+    caller's numpy error state. The rest of the run, the forcing's callables
+    included, ignores numpy's overflow and invalid-value warnings: the step's
+    certificate and :func:`stable_dt`'s checks name every non-finite u, v, w
+    and drift, and a record whose u^p overflows carries ``lp_u`` and ``y_p``
+    as inf.
     """
     config.validate()
     params = config.params
     t_end = config.t_end
     eps = 1e-12 * max(1.0, t_end)
+    dt_safety, mode = config.dt_safety, config.positivity_mode
+    caller_errors = np.geterr()
 
     records: list[diagnostics.DiagRecord] = []
 
@@ -463,33 +482,37 @@ def run(
         rec = diagnostics.record(state, config, dt_current=dt_current, w_source=w_source)
         records.append(rec)
         if callback is not None:
-            callback(state, rec)
+            with np.errstate(**caller_errors):
+                callback(state, rec)
 
-    state = initial_state(config, forcing)
-    state._workspace = _Workspace(state.u.spec, recycled=True)
-    blow_threshold = config.blowup_factor * float(np.max(config.u0.values))
-    k_out = 1
-    next_out = min(k_out * config.output_interval, t_end)
-    termination = COMPLETED
-    try:
-        dt = stable_dt(state, params, config.dt_safety)
-        emit(state, dt)
-        while t_end - state.t > eps:
-            if state.step > 0:  # the first step takes the bound computed above
-                dt = stable_dt(state, params, config.dt_safety)
-            lands = state.t + dt >= next_out - eps
-            if lands:
-                dt = next_out - state.t
-            state = step(state, params, dt, positivity_mode=config.positivity_mode, forcing=forcing)
-            if state._sup_u > blow_threshold:
-                termination = BLOWUP_FLAGGED
-                emit(state, dt)
-                break
-            if lands:
-                emit(state, dt)
-                k_out += 1
-                next_out = min(k_out * config.output_interval, t_end)
-    except NumericalBreakdownError as exc:
-        termination = BREAKDOWN
-        emit(state, exc.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = initial_state(config, forcing)
+        ws = state._workspace = _Workspace(state.u.spec, recycled=True)
+        blow_threshold = config.blowup_factor * float(np.max(config.u0.values))
+        k_out = 1
+        next_out = min(k_out * config.output_interval, t_end)
+        termination = COMPLETED
+        try:
+            dt = stable_dt(state, params, dt_safety)
+            emit(state, dt)
+            while t_end - state.t > eps:
+                if state.step > 0:  # the first step takes the bound computed above
+                    dt = stable_dt(state, params, dt_safety)
+                lands = state.t + dt >= next_out - eps
+                if lands:
+                    dt = next_out - state.t
+                state = step(state, params, dt, mode, forcing)
+                if state._sup_u > blow_threshold:
+                    termination = BLOWUP_FLAGGED
+                    emit(state, dt)
+                    break
+                if lands:
+                    emit(state, dt)
+                    k_out += 1
+                    next_out = min(k_out * config.output_interval, t_end)
+        except NumericalBreakdownError as exc:
+            termination = BREAKDOWN
+            emit(state, exc.dt)
+        finally:  # the pairs' shells refer back to the workspace: drop them, freeing both
+            ws.last = ()
     return records, _copy(state), termination

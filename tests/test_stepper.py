@@ -1,9 +1,11 @@
 """Time-stepping tests: step-size control, conservation, comparison bounds, termination."""
 
 import dataclasses
+import gc
 import math
 import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -609,9 +611,15 @@ def assert_run_is_plain_loop(config, forcing=None):
     return final, termination
 
 
-def nan_in_v_after(t_nan):
-    """A forcing that puts a NaN into every v from time t_nan on: a breakdown mid-run."""
-    return Forcing(v=lambda c, t: np.full(c[0].shape, np.nan if t >= t_nan else 0.0))
+def nan_in_v_after(t_nan, forcing=None):
+    """``forcing`` plus a NaN in every v from time t_nan on: a breakdown mid-run."""
+    base = forcing or Forcing()
+
+    def v(c, t):
+        nan = np.full(c[0].shape, np.nan if t >= t_nan else 0.0)
+        return nan if base.v is None else nan + base.v(c, t)
+
+    return Forcing(u=base.u, v=v, w_source=base.w_source)
 
 
 class TestRunAgainstPlainLoop:
@@ -625,13 +633,16 @@ class TestRunAgainstPlainLoop:
         steps=st.integers(2, 60),
         records=st.integers(1, 5),
         blowup_factor=st.sampled_from([1.0, 1.5, 1e3]),
+        forced=st.booleans(),
         breaks_at=st.one_of(st.none(), st.floats(0.0, 1.0)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_run_is_bitwise_the_plain_loop(self, n_cells, coefficients, l, mode, dt_safety, steps,
-                                           records, blowup_factor, breaks_at, seed):
-        # run() steps in two recycled buffers and hands out copies; the plain loop makes a
-        # new state every step; rough random data and large dt_safety make u and v clip
+                                           records, blowup_factor, forced, breaks_at, seed):
+        # run() steps in two recycled buffers and state shells and hands out copies; the
+        # plain loop makes a new state every step; rough random data and large dt_safety
+        # make u and v clip; a smooth forcing of u, v and the repellent source takes the
+        # forced source path, at l = 1 and l > 1
         spec = GridSpec(len(n_cells), tuple(n_cells), (1.0,) * len(n_cells))
         chi, xi, K, gamma = coefficients
         params = make_params(chi=chi, xi=xi, K=K, gamma=gamma, l=l, n=spec.dim)
@@ -641,7 +652,9 @@ class TestRunAgainstPlainLoop:
                            ScalarField(spec, 2.0 * rng.random(spec.shape)), t_end=t_end,
                            dt_safety=dt_safety, output_interval=t_end / records,
                            positivity_mode=mode, blowup_factor=blowup_factor)
-        forcing = None if breaks_at is None else nan_in_v_after(breaks_at * t_end)
+        forcing = WAVY if forced else None
+        if breaks_at is not None:
+            forcing = nan_in_v_after(breaks_at * t_end, forcing)
         assert_run_is_plain_loop(config, forcing)
 
     @pytest.mark.parametrize("mode", ["clip", "upwind"])
@@ -683,6 +696,73 @@ class TestRunAgainstPlainLoop:
         assert final.step > 4 * len(records)  # each buffer was written between records
         for state, saved in kept:
             assert [f.values.tobytes() for f in (state.u, state.v, state.w)] == saved
+
+    def test_only_the_recycled_chain_reuses_its_states(self):
+        # run()'s workspace steps into two state shells by turns; any other chain makes a
+        # new state each step, so every earlier state keeps its values
+        spec = GridSpec.interval(16)
+        params = make_params()
+        start = homogeneous_state(spec, params)
+        start.u = ScalarField(spec, 1.0 + 0.5 * np.cos(np.pi * cell_centers(spec)[0]))
+        recycled = dataclasses.replace(start)
+        recycled._workspace = stepper._Workspace(spec, recycled=True)
+        shells, fresh = [], [start]
+        for _ in range(4):
+            recycled = step(recycled, params, 1e-4)
+            shells.append(recycled)
+            fresh.append(step(fresh[-1], params, 1e-4))
+        assert shells[0] is shells[2] and shells[1] is shells[3] and shells[0] is not shells[1]
+        assert len({id(state) for state in fresh}) == 5
+        last = fresh[-1]
+        assert (recycled.t, recycled.step) == (last.t, last.step)
+        for name in ("u", "v", "w"):
+            assert getattr(recycled, name).values.tobytes() == getattr(last, name).values.tobytes()
+
+    def test_near_overflow_run_warns_nothing(self):
+        # u0 = 1e306: the divergence and the record's u^p overflow before the step's
+        # certificate names the breakdown; run() prints none of numpy's warnings
+        spec = GridSpec.interval(32)
+        x = cell_centers(spec)[0]
+        config = RunConfig(spec, make_params(gamma=10.0, xi=1e-300), ScalarField.full(spec, 1e306),
+                           ScalarField(spec, 1.0 + 0.5 * np.cos(np.pi * x)), t_end=0.01,
+                           output_interval=0.0025)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, final, termination = run(config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, state, expected_termination = plain_loop(config)
+        assert termination == expected_termination == BREAKDOWN
+        assert records_bytes(records) == records_bytes(expected)
+        assert (final.t, final.step) == (state.t, state.step) == (records[-1].t, 1)
+        assert records[-1].y_p == math.inf
+
+    def test_callback_runs_under_the_callers_error_state(self):
+        seen = []
+        with np.errstate(over="raise", invalid="warn"):
+            run(bump_config(n=16, t_end=0.01), callback=lambda state, rec: seen.append(np.geterr()))
+            assert np.geterr()["over"] == "raise"
+        assert len(seen) == 5
+        assert all((e["over"], e["invalid"]) == ("raise", "warn") for e in seen)
+
+    @pytest.mark.parametrize("forcing", [None, nan_in_v_after(0.005)], ids=["completed", "breakdown"])
+    def test_workspace_is_freed_when_run_returns(self, monkeypatch, forcing):
+        # the shells refer back to the workspace; run() drops its pairs, so reference
+        # counting alone frees the buffers, with the cyclic collector off
+        made = []
+
+        class Workspace(stepper._Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(stepper, "_Workspace", Workspace)
+        gc.disable()
+        try:
+            _, _, termination = run(bump_config(n=16, t_end=0.01), forcing)
+            assert termination == (COMPLETED if forcing is None else BREAKDOWN)
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestRun:
