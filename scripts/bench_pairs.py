@@ -8,11 +8,14 @@ once in the parent checkout and once in this tree, each in a fresh process,
 and swaps which side goes first from one pair to the next, so a slow spell of
 the machine weighs on both sides alike. Every result line is kept, tagged with
 its side, workload, seed, trace, pair and run order, in ``BENCH_<label>.json``
-at the root of this tree (``--append`` adds to an existing file). At the end
-the script prints, per workload, seed and metric, the median and quartiles of
-each side, the relative change of the medians, and in how many pairs the
-change was lower (every perfbench metric is better lower). Standard library
-only.
+at the root of this tree (``--append`` adds to an existing file), with the
+run's exit code. At the end the script prints, per workload, seed and metric,
+the median and quartiles of each side, the relative change of the medians, and
+in how many pairs the change was lower (every perfbench metric is better
+lower). Then, per workload, seed and side, it prints the summed ``failed`` and
+``attempted`` checks and names each run that printed no result or a result
+with ``correct: false``: the metric rows alone would not show them. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ def side_order(pair: int) -> tuple[str, str]:
     return SIDES if pair % 2 else SIDES[::-1]
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict | None:
-    """One perfbench run in ``checkout``: its last output line as JSON, or None if there is none."""
+def run_side(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> tuple[dict | None, int]:
+    """One perfbench run in ``checkout``: its last output line as JSON, or None if there is
+    none, and its exit code."""
     done = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)],
@@ -43,10 +48,10 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     )
     lines = done.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), done.returncode
     except (IndexError, json.JSONDecodeError):
         print(f"  {checkout}: exit {done.returncode}, no result line; stderr:\n{done.stderr[-2000:]}")
-        return None
+        return None, done.returncode
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -84,6 +89,41 @@ def summarize(runs: list[dict]) -> list[dict]:
             row["ratio"] = None
         rows.append(row)
     return rows
+
+
+def check_rows(runs: list[dict]) -> list[dict]:
+    """Per (workload, seed, trace, side): the number of runs, the summed ``failed`` and
+    ``attempted`` checks, and as (pair, exit code) the runs that printed no result and
+    those whose result reads ``correct: false``. A file written before exit codes were
+    kept gives None for the code."""
+    rows: dict[tuple, dict] = {}
+    for run in runs:
+        key = (run["workload"], run["seed"], run["trace"], SIDES.index(run["side"]))
+        row = rows.setdefault(key, {"workload": run["workload"], "seed": run["seed"],
+                                    "trace": run["trace"], "side": run["side"], "runs": 0,
+                                    "failed": 0, "attempted": 0, "no_result": [], "incorrect": []})
+        row["runs"] += 1
+        result, tag = run.get("result"), (run["pair"], run.get("exit"))
+        if result is None:
+            row["no_result"].append(tag)
+            continue
+        if result.get("correct") is not True:
+            row["incorrect"].append(tag)
+        row["failed"] += result.get("failed", 0)
+        row["attempted"] += result.get("attempted", 0)
+    return [rows[key] for key in sorted(rows)]
+
+
+def format_check_rows(rows: list[dict]) -> list[str]:
+    out = []
+    for row in rows:
+        line = (f"{row['workload']} seed {row['seed']} trace {row['trace']} {row['side']}: "
+                f"{row['runs']} runs, checks failed {row['failed']}/{row['attempted']}")
+        for name, runs in (("no result", row["no_result"]), ("correct false", row["incorrect"])):
+            if runs:
+                line += f"; {name}: " + ", ".join(f"pair {p} (exit {code})" for p, code in runs)
+        out.append(line)
+    return out
 
 
 def format_rows(rows: list[dict]) -> list[str]:
@@ -127,14 +167,15 @@ def main(argv=None) -> int:
             first = max(done, default=0) + 1
             for pair in range(first, first + args.pairs):
                 for order, side in enumerate(side_order(pair), start=1):
-                    result = run_side(checkouts[side], workload, seed, args.seconds, args.trace)
+                    result, code = run_side(checkouts[side], workload, seed, args.seconds,
+                                            args.trace)
                     runs.append({"side": side, "workload": workload, "seed": seed,
                                  "trace": args.trace, "pair": pair, "run_order": order,
-                                 "result": result})
+                                 "exit": code, "result": result})
                     path.write_text(json.dumps(doc, indent=1) + "\n")
                 print(f"{workload} seed {seed} pair {pair} done", flush=True)
 
-    for line in format_rows(summarize(runs)):
+    for line in format_rows(summarize(runs)) + format_check_rows(check_rows(runs)):
         print(line)
     return 0
 

@@ -15,25 +15,26 @@ value u_face: the mean of the two adjacent cells in "clip" mode (second
 order), the donor cell in "upwind" mode. A non-finite u, v or g(u) stops the
 step before the elliptic solve.
 
-Each step forms every quantity once, and a chain of states keeps its per-grid
-work in one private workspace, made at its first :func:`stable_dt` or
-:func:`step` and handed from each state to the next. The workspace holds the
-grid, its cell centres, scratch buffers and one zero-walled face array per
-axis, but no solver: each solve takes it from ``elliptic``'s cache, the one
-store. :func:`stable_dt` leaves the face differences of the drift potential
-chi*v - xi*w there, keyed by (chi, xi) and the v and w arrays; :func:`step`
-reuses them when these match and forms them otherwise. The step returns u and
-v as the two rows of one (2, cells) array, so the next step takes both fields'
-face differences in one call; one pass per axis then builds the u face flux
-and the face difference of v, in the arithmetic order of the ``np.diff``
-oracle in ``tests/flux_oracle.py`` and of ``laplacian_values``. A multiply by
-a chi, xi, K or gamma of 1.0 is skipped (x*1.0 == x). :func:`run` steps its
-own chain in two recycled such arrays, each with one state shell that the
-step refreshes in place of a new state, and hands out only states on fresh
-copies of u, v and w; every other chain gets new arrays and a new state from
-every step, so its states may be stepped in any order. The per-step calls
-reduce with ``np.maximum.reduce``/``np.minimum.reduce``, as ``ndarray.max``
-and ``min`` add a Python frame, and pass ``out`` positionally.
+Each step forms every quantity once, in a private per-grid workspace that
+holds the grid, its cell centres, scratch buffers and one zero-walled face
+array per axis, but no solver: each solve takes it from ``elliptic``'s cache, the one
+store. Only :func:`run` keeps a workspace from step to step: it attaches one
+to its initial state and to the two state shells its chain alternates, and
+hands out only states on fresh copies of u, v and w. There every step
+follows a :func:`stable_dt` of the same state and params, which leaves the
+face differences of the drift potential chi*v - xi*w in the workspace for
+the step to reuse. Any other call of :func:`stable_dt` or :func:`step` makes
+a workspace for itself alone and attaches nothing: it leaves its argument as
+it was, and the state a step returns is a plain value on new arrays, so
+such states may be stepped in any order. The step writes u and v as the two
+rows of one (2, cells) array, so the next step of the chain takes both
+fields' face differences in one call; one pass per axis then builds the u
+face flux and the face difference of v, in the arithmetic order of the
+``np.diff`` oracle in ``tests/flux_oracle.py`` and of ``laplacian_values``.
+A multiply by a chi, xi, K or gamma of 1.0 is skipped (x*1.0 == x). The
+per-step calls reduce with ``np.maximum.reduce``/``np.minimum.reduce``, as
+``ndarray.max`` and ``min`` add a Python frame, and pass ``out``
+positionally.
 
 Arguments are checked at the boundary: ``f_of``, ``g_of`` and
 ``elliptic.solve_w_values`` check theirs, :class:`RunConfig` checks a run's,
@@ -110,9 +111,9 @@ class SimState:
 
     ``clipped_mass`` is the cumulative magnitude of u-mass adjusted by
     positivity clipping; it stays zero on well-resolved runs. ``_workspace``
-    is the explicit scheme's per-grid state, made at the first
-    :func:`stable_dt` or :func:`step` and handed from each state to the next,
-    and ``_sup_u`` is sup u of a state a step made; neither is compared or
+    is the explicit scheme's per-grid state, set only on the states of
+    :func:`run`'s own chain and None on every state it hands out, and
+    ``_sup_u`` is sup u of a state a step made; neither is compared or
     printed.
     """
 
@@ -217,8 +218,8 @@ class _Pair:
 
     The pair also owns ``state``, one :class:`SimState` shell whose u and v wrap its
     rows: each step that writes the pair refreshes the shell's w, t, step, clipped
-    mass and sup u in place and returns it. Only a ``recycled`` workspace writes a
-    pair twice; any other writes each step into a new pair, so its shells are new.
+    mass and sup u in place and returns it. Only :func:`run`'s workspace writes a
+    pair twice; a workspace made for one step writes its pair once, so that shell is new.
     """
 
     __slots__ = ("flat", "u", "v", "sides", "state")
@@ -231,26 +232,22 @@ class _Pair:
         spec = ws.spec
         self.state = SimState(ScalarField._wrap(spec, self.u), ScalarField._wrap(spec, self.v),
                               ScalarField._wrap(spec, None), 0.0, 0)
-        self.state._workspace = ws
 
 
 class _Workspace:
-    """The explicit scheme's per-grid state, shared by a chain of states.
+    """The explicit scheme's per-grid state: for :func:`run`'s chain, or for one call.
 
     It keeps the grid, its cell centres, scratch buffers and the per-axis face
     arrays, and no solver. Its drift, the face differences of chi*v - xi*w, is
-    valid for the (chi, xi) and the v and w arrays it came from; w is new from
-    every solve, so this holds for one state only, though recycled rows come
-    back. A ``recycled`` workspace, made by :func:`run` for its own chain,
-    steps in two :class:`_Pair` buffers by turns, so it hands out each pair's
-    state shell again and again, refreshed in place. Any other workspace writes
-    each step into a new pair, whose shell is a new state, and reads the last
-    pair it wrote when handed its rows, so states that share it may be stepped
-    in any order. It writes only its own buffers, never an array a
-    state outside :func:`run` exposes; it is not for use by two threads at once.
+    the one :meth:`drift` last formed. It steps in two :class:`_Pair` buffers
+    by turns: a step reads the pair the last step wrote, or copies u and v into
+    the spare, and writes the other. So :func:`run`'s workspace hands out each
+    pair's state shell again and again, refreshed in place, while one made for
+    a single :func:`stable_dt` or :func:`step` is dropped with its spare pair.
+    It writes only its own buffers; it is not for use by two threads at once.
     """
 
-    def __init__(self, spec: GridSpec, recycled: bool = False):
+    def __init__(self, spec: GridSpec):
         self.spec = spec
         self.size = spec.total_cells
         self.pair_shape = (2, *spec.shape)
@@ -261,46 +258,27 @@ class _Workspace:
         phi = self.phi.reshape(-1)
         self.axes = tuple(_Axis(ax, h, phi, self.size)
                           for ax, h in zip(axis_operators(spec.shape), spec.spacing))
-        self.drift_key = (None,) * 4  # (chi, xi, v, w) of the current drift
-        self.recycled = recycled
         self.last = (_Pair(self), _Pair(self))  # the stacks the last step read and wrote
-
-    def __reduce__(self):  # the buffers stay behind: a copy starts afresh
-        return _Workspace, (self.spec,)
 
     def drift(self, v: np.ndarray, w: np.ndarray, params: ModelParams) -> tuple[_Axis, ...]:
         """The axes, with ``dphi`` holding the face differences of chi*v - xi*w."""
-        key = self.drift_key
-        chi, xi = params.chi, params.xi
-        if key[2] is not v or key[3] is not w or key[0] != chi or key[1] != xi:
-            np.subtract(_scaled(v, chi, self.scratch), _scaled(w, xi, self.phi), self.phi)
-            for axis in self.axes:
-                np.subtract(axis.phi_hi, axis.phi_lo, axis.dphi)
-                if axis.dphi_seams is not None:
-                    axis.dphi_seams.fill(0.0)
-            self.drift_key = (chi, xi, v, w)
+        np.subtract(_scaled(v, params.chi, self.scratch), _scaled(w, params.xi, self.phi), self.phi)
+        for axis in self.axes:
+            np.subtract(axis.phi_hi, axis.phi_lo, axis.dphi)
+            if axis.dphi_seams is not None:
+                axis.dphi_seams.fill(0.0)
         return self.axes
 
     def pairs(self, u: np.ndarray, v: np.ndarray) -> tuple[_Pair, _Pair]:
         """The stack whose rows are u and v, and the stack a step from them writes."""
         held, out = self.last
         if u is out.u and v is out.v:  # the state the last step made: its stack is at hand
-            held, out = out, (held if self.recycled else _Pair(self))
-        else:  # a copy of u and v: into the spare stack, or a new one
-            if not self.recycled:
-                held, out = _Pair(self), _Pair(self)
+            held, out = out, held
+        else:  # a copy of u and v, into the spare stack
             held.u[...] = u
             held.v[...] = v
         self.last = held, out
         return held, out
-
-
-def _workspace(state: SimState) -> _Workspace:
-    """The state's workspace, made at the first :func:`stable_dt` or :func:`step` of a chain."""
-    ws = state._workspace
-    if ws is None or ws.spec is not state.u.spec:
-        ws = state._workspace = _Workspace(state.u.spec)
-    return ws
 
 
 def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> float:
@@ -308,14 +286,15 @@ def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> f
 
     The diffusive bound is 1/(2*sum(1/h_i^2)), i.e. h^2/(2*dim) on uniform
     spacing; the advective bound is h/max|face gradient of chi*v - xi*w| per
-    axis (infinite when the drift is flat). The drift's face differences stay
-    in the workspace for the :func:`step` that follows.
+    axis (infinite when the drift is flat). In :func:`run`'s chain the drift's
+    face differences stay in the workspace for the :func:`step` that follows;
+    outside it the workspace is made for this call and the state is left as it was.
 
     A non-finite face difference of chi*v - xi*w raises :class:`NumericalBreakdownError`
     whose ``dt`` is the diffusive step dt_safety * diffusive bound; a step below
     ``DT_UNDERFLOW`` raises it with that step.
     """
-    ws = _workspace(state)
+    ws = state._workspace or _Workspace(state.u.spec)
     adv_bound = np.inf
     for axis in ws.drift(state.v.values, state.w.values, params):
         jump = float(np.maximum.reduce(np.absolute(axis.dphi, axis.taxis)))
@@ -353,16 +332,18 @@ def step(
     """Advance one explicit step of size dt; see the module docstring for the scheme."""
     if positivity_mode not in POSITIVITY_MODES:
         raise ValueError(f"positivity_mode must be one of {POSITIVITY_MODES}")
-    ws = _workspace(state)
     u = state.u.values
     v = state.v.values
-    axes = ws.drift(v, state.w.values, params)
+    ws = state._workspace
+    if ws is None:  # outside run(): a workspace for this step; in run(), stable_dt left the drift
+        ws = _Workspace(state.u.spec)
+        ws.drift(v, state.w.values, params)
     held, out = ws.pairs(u, v)
 
     # per axis, the face flux grad(u) - u_face grad(phi) in row 0 and grad(v) in row 1,
     # then their divergence, summed over the axes into the one new (2, cells) array
     new = out.flat
-    for axis, (hi, lo, hi_u, lo_u) in zip(axes, held.sides):
+    for axis, (hi, lo, hi_u, lo_u) in zip(ws.axes, held.sides):
         np.subtract(hi, lo, axis.interior)
         if positivity_mode == "clip":
             taxis = np.add(lo_u, hi_u, axis.taxis)
@@ -487,7 +468,9 @@ def run(
 
     with np.errstate(over="ignore", invalid="ignore"):
         state = initial_state(config, forcing)
-        ws = state._workspace = _Workspace(state.u.spec, recycled=True)
+        ws = state._workspace = _Workspace(state.u.spec)
+        for pair in ws.last:
+            pair.state._workspace = ws
         blow_threshold = config.blowup_factor * float(np.max(config.u0.values))
         k_out = 1
         next_out = min(k_out * config.output_interval, t_end)

@@ -1,4 +1,5 @@
-"""Tests of the paired-benchmark harness's summary (scripts/bench_pairs.py); nothing is run."""
+"""Tests of the paired-benchmark harness (scripts/bench_pairs.py): its summaries, and runs
+of a stub perfbench."""
 
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,9 @@ spec.loader.exec_module(bench_pairs)
 
 def run(side, pair, **metrics):
     return {"side": side, "workload": "mms", "seed": 1, "trace": 0, "pair": pair,
-            "run_order": 1, "result": {"metrics": {k: {"value": v} for k, v in metrics.items()}}}
+            "run_order": 1, "exit": 0,
+            "result": {"correct": True, "attempted": 10, "failed": 0,
+                       "metrics": {k: {"value": v} for k, v in metrics.items()}}}
 
 
 def test_sides_alternate_which_goes_first():
@@ -51,3 +54,37 @@ def test_wins_count_complete_pairs_only():
     assert (row["wins"], row["pairs"]) == (1, 2)
     assert row["parent"] == (1.0, 1.0, 1.0)
     assert row["change"] == (0.875, 1.25, 1.625)
+
+
+def test_checks_name_each_run_with_no_result_or_an_incorrect_one():
+    failing = run("change", 2, score=1.0)
+    failing["result"].update(correct=False, failed=3)
+    runs = [run("parent", 1, score=1.0), run("change", 1, score=1.0),
+            run("parent", 2, score=1.0), failing,
+            {**run("change", 3), "exit": 1, "result": None}, run("parent", 3, score=1.0)]
+    parent, change = bench_pairs.check_rows(runs)  # the parent's row first
+    counts = ("side", "runs", "failed", "attempted")
+    assert tuple(parent[k] for k in counts) == ("parent", 3, 0, 30)
+    assert parent["no_result"] == parent["incorrect"] == []
+    assert tuple(change[k] for k in counts) == ("change", 3, 3, 20)
+    assert change["no_result"] == [(3, 1)] and change["incorrect"] == [(2, 0)]
+    lines = bench_pairs.format_check_rows([parent, change])
+    assert lines[0] == "mms seed 1 trace 0 parent: 3 runs, checks failed 0/30"
+    assert lines[1] == ("mms seed 1 trace 0 change: 3 runs, checks failed 3/20; "
+                        "no result: pair 3 (exit 1); correct false: pair 2 (exit 0)")
+
+
+def test_checks_of_a_file_without_exit_codes():
+    old = {key: value for key, value in run("parent", 1, score=1.0).items() if key != "exit"}
+    old["result"]["correct"] = False
+    (row,) = bench_pairs.check_rows([old, {**old, "pair": 2, "result": None}])
+    assert row["incorrect"] == [(1, None)] and row["no_result"] == [(2, None)]
+
+
+def test_run_side_keeps_the_exit_code(tmp_path):
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text("import sys\nprint('log')\nprint('{\"correct\": false}')\nsys.exit(3)\n")
+    assert bench_pairs.run_side(tmp_path, "mms", 1, 1.0, 0) == ({"correct": False}, 3)
+    script.write_text("import sys\nsys.exit(2)\n")
+    assert bench_pairs.run_side(tmp_path, "mms", 1, 1.0, 0) == (None, 2)

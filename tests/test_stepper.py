@@ -340,7 +340,8 @@ class TestStep:
             assert_same(chain(start(spec, params), params, 5, elliptic._solver.cache_clear), expected)
 
         # delta 1.0 for two steps, 2.5 for two, then 1.0 again: each stretch must be the
-        # one-delta chain from a copy of its first state, which shares no workspace
+        # one-delta chain from a copy of its first state; no state outside run() carries
+        # a workspace
         for spec in specs:
             state = start(spec, make_params(delta=1.0))
             for delta, steps in ((1.0, 2), (2.5, 2), (1.0, 1)):
@@ -348,7 +349,7 @@ class TestStep:
                 expected = chain(dataclasses.replace(state), params, steps)
                 states = chain(state, params, steps)
                 assert_same(states, expected)
-                assert states[0]._workspace is state._workspace is not expected[0]._workspace
+                assert all(s._workspace is None for s in (state, *states, *expected))
                 state = states[-1]
 
 
@@ -489,16 +490,18 @@ class TestStepAgainstReference:
             assert [f.values.tobytes() for f in (made_state.u, made_state.v, made_state.w)] == saved
 
     def test_cached_drift_is_neither_compared_nor_printed(self):
-        # the workspace that holds the drift is made lazily, passed on to each child,
-        # and is no part of a state's value
+        # outside run(), stable_dt and step hold the drift in a workspace of their own:
+        # neither the state they read nor the one a step returns carries it, and the
+        # field is no part of a state's value
         spec = GridSpec.interval(8)
         params = make_params()
         fresh = homogeneous_state(spec, params)
         bounded = homogeneous_state(spec, params)
         stable_dt(bounded, params)
-        assert bounded._workspace is not None and fresh._workspace is None
+        assert bounded._workspace is None and fresh._workspace is None
         assert repr(bounded) == repr(fresh)
-        assert step(bounded, params, 1e-4)._workspace is bounded._workspace
+        child = step(bounded, params, 1e-4)
+        assert bounded._workspace is None and child._workspace is None
         (workspace,) = [f for f in dataclasses.fields(SimState) if f.name == "_workspace"]
         assert not workspace.compare and not workspace.init and not workspace.repr
 
@@ -697,26 +700,30 @@ class TestRunAgainstPlainLoop:
         for state, saved in kept:
             assert [f.values.tobytes() for f in (state.u, state.v, state.w)] == saved
 
-    def test_only_the_recycled_chain_reuses_its_states(self):
-        # run()'s workspace steps into two state shells by turns; any other chain makes a
+    def test_only_the_recycled_chain_reuses_its_states(self, monkeypatch):
+        # run()'s workspace steps into two state shells by turns; a plain chain makes a
         # new state each step, so every earlier state keeps its values
-        spec = GridSpec.interval(16)
-        params = make_params()
-        start = homogeneous_state(spec, params)
-        start.u = ScalarField(spec, 1.0 + 0.5 * np.cos(np.pi * cell_centers(spec)[0]))
-        recycled = dataclasses.replace(start)
-        recycled._workspace = stepper._Workspace(spec, recycled=True)
-        shells, fresh = [], [start]
+        config = bump_config(n=16, t_end=0.01)
+        params = config.params
+        shells = []
+
+        def keeping(*args):
+            shells.append(original(*args))
+            return shells[-1]
+
+        original = stepper.step
+        monkeypatch.setattr(stepper, "step", keeping)
+        _, final, termination = run(config)
+        monkeypatch.undo()
+        assert termination == COMPLETED and len(shells) == final.step > 4
+        assert all(s is shells[i % 2] for i, s in enumerate(shells)) and shells[0] is not shells[1]
+        assert all(s._workspace is not None for s in shells[:2])
+
+        fresh = [stepper.initial_state(config)]
         for _ in range(4):
-            recycled = step(recycled, params, 1e-4)
-            shells.append(recycled)
             fresh.append(step(fresh[-1], params, 1e-4))
-        assert shells[0] is shells[2] and shells[1] is shells[3] and shells[0] is not shells[1]
         assert len({id(state) for state in fresh}) == 5
-        last = fresh[-1]
-        assert (recycled.t, recycled.step) == (last.t, last.step)
-        for name in ("u", "v", "w"):
-            assert getattr(recycled, name).values.tobytes() == getattr(last, name).values.tobytes()
+        assert all(state._workspace is None for state in fresh)
 
     def test_near_overflow_run_warns_nothing(self):
         # u0 = 1e306: the divergence and the record's u^p overflow before the step's
