@@ -203,7 +203,7 @@ def cmd_simulate(args) -> int:
     def callback(state, rec):
         if args.snapshot_every == 0.0 or state.t < next_snapshot[0]:
             return
-        _ensure_out(out)
+        _ensure_out(os.path.dirname(os.path.join(out, prefix)))  # a prefix may name a directory
         fields = (("u", state.u), ("v", state.v), ("w", state.w))
         writer.send(state.t, [(os.path.join(out, f"{prefix}_{name}_{state.step:08d}.dat"), field)
                               for name, field in fields])

@@ -18,23 +18,23 @@ step before the elliptic solve.
 Each step forms every quantity once, in a private per-grid workspace that
 holds the grid, its cell centres, scratch buffers and one zero-walled face
 array per axis, but no solver: each solve takes it from ``elliptic``'s cache, the one
-store. Only :func:`run` keeps a workspace from step to step: it attaches one
-to its initial state and to the two state shells its chain alternates, and
-hands out only states on fresh copies of u, v and w. There every step
-follows a :func:`stable_dt` of the same state and params, which leaves the
-face differences of the drift potential chi*v - xi*w in the workspace for
-the step to reuse. Any other call of :func:`stable_dt` or :func:`step` makes
-a workspace for itself alone and attaches nothing: it leaves its argument as
-it was, and the state a step returns is a plain value on new arrays, so
-such states may be stepped in any order. The step writes u and v as the two
-rows of one (2, cells) array, so the next step of the chain takes both
-fields' face differences in one call; one pass per axis then builds the u
-face flux and the face difference of v, in the arithmetic order of the
-``np.diff`` oracle in ``tests/flux_oracle.py`` and of ``laplacian_values``.
-A multiply by a chi, xi, K or gamma of 1.0 is skipped (x*1.0 == x). The
-per-step calls reduce with ``np.maximum.reduce``/``np.minimum.reduce``, as
-``ndarray.max`` and ``min`` add a Python frame, and pass ``out``
-positionally.
+store. Only :func:`run` keeps a workspace from step to step: it passes its
+own to every :func:`stable_dt` and :func:`step` of its chain, as their
+trailing private argument, and hands out only states on fresh copies of u,
+v and w. There every step follows a :func:`stable_dt` of the same state and
+params, which leaves the face differences of the drift potential
+chi*v - xi*w in the workspace for the step to reuse. Any other call of
+:func:`stable_dt` or :func:`step` makes a workspace for itself alone: it
+leaves its argument as it was, and the state a step returns is a plain
+value on new arrays, so such states may be stepped in any order. The step
+writes u and v as the two rows of one (2, cells) array, so the next step of
+the chain takes both fields' face differences in one call; one pass per axis
+then builds the u face flux and the face difference of v, in the arithmetic
+order of the ``np.diff`` oracle in ``tests/flux_oracle.py`` and of
+``laplacian_values``. A multiply by a chi, xi, K or gamma of 1.0 is skipped
+(x*1.0 == x). The per-step calls reduce with
+``np.maximum.reduce``/``np.minimum.reduce``, as ``ndarray.max`` and ``min``
+add a Python frame, and pass ``out`` positionally.
 
 Arguments are checked at the boundary: ``f_of``, ``g_of`` and
 ``elliptic.solve_w_values`` check theirs, :class:`RunConfig` checks a run's,
@@ -42,7 +42,7 @@ and the step calls their unchecked kernels, since its u is nonnegative by
 construction. After the clip every u and v entry is >= 0 or NaN, so a finite
 maximum per row certifies both fields; g(u) = gamma*u is then finite exactly
 when gamma*sup u is, and any other source by the maximum of its magnitude.
-The new state carries sup u privately for :func:`run`'s blow-up test.
+The step leaves sup u in its workspace for :func:`run`'s blow-up test.
 
 The step size obeys both the diffusive limit and an advective CFL limit on
 the drift potential; a non-finite drift ends the run there. In either mode,
@@ -58,7 +58,7 @@ statement that the solution blows up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -110,11 +110,7 @@ class SimState:
     """Snapshot of the evolving triplet (u, v, w) at time t.
 
     ``clipped_mass`` is the cumulative magnitude of u-mass adjusted by
-    positivity clipping; it stays zero on well-resolved runs. ``_workspace``
-    is the explicit scheme's per-grid state, set only on the states of
-    :func:`run`'s own chain and None on every state it hands out, and
-    ``_sup_u`` is sup u of a state a step made; neither is compared or
-    printed.
+    positivity clipping; it stays zero on well-resolved runs.
     """
 
     u: ScalarField
@@ -123,8 +119,6 @@ class SimState:
     t: float
     step: int
     clipped_mass: float = 0.0
-    _workspace: _Workspace | None = field(default=None, init=False, compare=False, repr=False)
-    _sup_u: float | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -217,9 +211,10 @@ class _Pair:
     of the cells above and below each interior face, both rows and the u row.
 
     The pair also owns ``state``, one :class:`SimState` shell whose u and v wrap its
-    rows: each step that writes the pair refreshes the shell's w, t, step, clipped
-    mass and sup u in place and returns it. Only :func:`run`'s workspace writes a
-    pair twice; a workspace made for one step writes its pair once, so that shell is new.
+    rows: each step that writes the pair refreshes the shell's w, t, step and clipped
+    mass in place and returns it; the shell refers to no workspace. Only :func:`run`'s
+    workspace writes a pair twice; one made for one step writes its pair once, so that
+    shell is new.
     """
 
     __slots__ = ("flat", "u", "v", "sides", "state")
@@ -244,7 +239,8 @@ class _Workspace:
     the spare, and writes the other. So :func:`run`'s workspace hands out each
     pair's state shell again and again, refreshed in place, while one made for
     a single :func:`stable_dt` or :func:`step` is dropped with its spare pair.
-    It writes only its own buffers; it is not for use by two threads at once.
+    ``sup_u`` is sup u of the state the last step made. It writes only its own
+    buffers; it is not for use by two threads at once.
     """
 
     def __init__(self, spec: GridSpec):
@@ -253,12 +249,12 @@ class _Workspace:
         self.pair_shape = (2, *spec.shape)
         self.centers = cell_centers(spec)
         self.scratch = np.empty(spec.shape)
-        self.magnitude = np.empty(spec.shape)
         self.phi = np.empty(spec.shape)
         phi = self.phi.reshape(-1)
         self.axes = tuple(_Axis(ax, h, phi, self.size)
                           for ax, h in zip(axis_operators(spec.shape), spec.spacing))
         self.last = (_Pair(self), _Pair(self))  # the stacks the last step read and wrote
+        self.sup_u = 0.0
 
     def drift(self, v: np.ndarray, w: np.ndarray, params: ModelParams) -> tuple[_Axis, ...]:
         """The axes, with ``dphi`` holding the face differences of chi*v - xi*w."""
@@ -281,20 +277,22 @@ class _Workspace:
         return held, out
 
 
-def stable_dt(state: SimState, params: ModelParams, dt_safety: float = 0.4) -> float:
+def stable_dt(
+    state: SimState, params: ModelParams, dt_safety: float = 0.4, _ws: _Workspace | None = None
+) -> float:
     """Largest safe explicit step: diffusive limit and drift CFL, scaled by dt_safety.
 
     The diffusive bound is 1/(2*sum(1/h_i^2)), i.e. h^2/(2*dim) on uniform
     spacing; the advective bound is h/max|face gradient of chi*v - xi*w| per
-    axis (infinite when the drift is flat). In :func:`run`'s chain the drift's
-    face differences stay in the workspace for the :func:`step` that follows;
-    outside it the workspace is made for this call and the state is left as it was.
+    axis (infinite when the drift is flat). ``_ws`` is :func:`run`'s workspace, where
+    the drift's face differences stay for the :func:`step` that follows; without it
+    one is made for this call and the state is left as it was.
 
     A non-finite face difference of chi*v - xi*w raises :class:`NumericalBreakdownError`
     whose ``dt`` is the diffusive step dt_safety * diffusive bound; a step below
     ``DT_UNDERFLOW`` raises it with that step.
     """
-    ws = state._workspace or _Workspace(state.u.spec)
+    ws = _ws or _Workspace(state.u.spec)
     adv_bound = np.inf
     for axis in ws.drift(state.v.values, state.w.values, params):
         jump = float(np.maximum.reduce(np.absolute(axis.dphi, axis.taxis)))
@@ -328,14 +326,16 @@ def step(
     dt: float,
     positivity_mode: str = "clip",
     forcing: Forcing | None = None,
+    _ws: _Workspace | None = None,
 ) -> SimState:
-    """Advance one explicit step of size dt; see the module docstring for the scheme."""
+    """Advance one explicit step of size dt; see the module docstring for the scheme.
+    ``_ws`` is :func:`run`'s workspace, holding the drift its :func:`stable_dt` just formed."""
     if positivity_mode not in POSITIVITY_MODES:
         raise ValueError(f"positivity_mode must be one of {POSITIVITY_MODES}")
     u = state.u.values
     v = state.v.values
-    ws = state._workspace
-    if ws is None:  # outside run(): a workspace for this step; in run(), stable_dt left the drift
+    ws = _ws
+    if ws is None:  # outside run(): a workspace for this step alone
         ws = _Workspace(state.u.spec)
         ws.drift(v, state.w.values, params)
     held, out = ws.pairs(u, v)
@@ -393,7 +393,7 @@ def step(
         w_source = _scaled(u_new, params.gamma, ws.scratch) if params.l == 1.0 else _g(u_new, params)
         if forced:
             w_source = np.add(w_source, forcing.w_source(ws.centers, t_new), ws.scratch)
-        source_peak = float(np.maximum.reduce(np.absolute(w_source, ws.magnitude), None))
+        source_peak = float(np.maximum.reduce(np.absolute(w_source), None))
     if not (math.isfinite(sup_u) and math.isfinite(sup_v) and math.isfinite(source_peak)):
         raise NumericalBreakdownError(
             f"non-finite u, v or repellent source g(u) at t = {t_new:.6g}", dt
@@ -407,12 +407,12 @@ def step(
     child.t = t_new
     child.step = state.step + 1
     child.clipped_mass = clipped
-    child._sup_u = sup_u
+    ws.sup_u = sup_u
     return child
 
 
 def _copy(state: SimState) -> SimState:
-    """The state on fresh copies of u, v and w, with no workspace: what :func:`run` hands out.
+    """The state on fresh copies of u, v and w, apart from run()'s buffers: what it hands out.
     w is copied too, as the next drift reads it: a caller writing into w must not reach it."""
     return replace(state, u=state.u.copy(), v=state.v.copy(), w=state.w.copy())
 
@@ -468,24 +468,22 @@ def run(
 
     with np.errstate(over="ignore", invalid="ignore"):
         state = initial_state(config, forcing)
-        ws = state._workspace = _Workspace(state.u.spec)
-        for pair in ws.last:
-            pair.state._workspace = ws
+        ws = _Workspace(state.u.spec)
         blow_threshold = config.blowup_factor * float(np.max(config.u0.values))
         k_out = 1
         next_out = min(k_out * config.output_interval, t_end)
         termination = COMPLETED
         try:
-            dt = stable_dt(state, params, dt_safety)
+            dt = stable_dt(state, params, dt_safety, ws)
             emit(state, dt)
             while t_end - state.t > eps:
                 if state.step > 0:  # the first step takes the bound computed above
-                    dt = stable_dt(state, params, dt_safety)
+                    dt = stable_dt(state, params, dt_safety, ws)
                 lands = state.t + dt >= next_out - eps
                 if lands:
                     dt = next_out - state.t
-                state = step(state, params, dt, mode, forcing)
-                if state._sup_u > blow_threshold:
+                state = step(state, params, dt, mode, forcing, ws)
+                if ws.sup_u > blow_threshold:
                     termination = BLOWUP_FLAGGED
                     emit(state, dt)
                     break
@@ -496,6 +494,4 @@ def run(
         except NumericalBreakdownError as exc:
             termination = BREAKDOWN
             emit(state, exc.dt)
-        finally:  # the pairs' shells refer back to the workspace: drop them, freeing both
-            ws.last = ()
     return records, _copy(state), termination

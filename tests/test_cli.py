@@ -275,6 +275,19 @@ class TestSnapshotWriter:
             assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
         assert multiprocessing.active_children() == []
 
+    def test_prefix_in_a_subdirectory(self, tmp_path, capsys):
+        # output.prefix = sub/s1: snapshots go beside the CSV, in a directory made for them
+        cfg = write_config(tmp_path, SMALL_1D.replace("output.prefix = s1", "output.prefix = sub/s1"))
+        names = reference_snapshots(write_config(tmp_path, SMALL_1D, "ref.cfg"), tmp_path / "ref")
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out", str(out), "--snapshot-every", "1e-9"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert sorted(path.name for path in (out / "sub").glob("*.dat")) == sorted(names)
+        for name in names:
+            assert (out / "sub" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        assert (out / "sub" / "s1_diagnostics.csv").is_file()
+        assert sorted(path.name for path in out.iterdir()) == ["sub"]
+
     @pytest.mark.parametrize("which", [0, -1], ids=["first_set", "last_set"])
     def test_failed_write_is_named_and_writes_no_csv(self, tmp_path, capsys, which):
         cfg = write_config(tmp_path, SMALL_1D)

@@ -49,6 +49,30 @@ def homogeneous_state(spec, params, a=2.0, b=1.0):
     )
 
 
+def fields_bytes(state):
+    return [f.values.tobytes() for f in (state.u, state.v, state.w)]
+
+
+def shares_memory(a, b):
+    """Whether any of u, v and w of state a shares memory with any of state b."""
+    return any(np.shares_memory(x.values, y.values) for x in (a.u, a.v, a.w) for y in (b.u, b.v, b.w))
+
+
+def recording_workspaces(monkeypatch):
+    """Have stepper make each workspace as a subclass that records a weak reference to it and
+    its two pairs' (2, cells) arrays; returns both lists."""
+    made, buffers = [], []
+
+    class Workspace(stepper._Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+            buffers.extend(pair.flat for pair in self.last)
+
+    monkeypatch.setattr(stepper, "_Workspace", Workspace)
+    return made, buffers
+
+
 def bump_config(n=64, t_end=0.1, **overrides):
     spec = GridSpec.interval(n)
     x = cell_centers(spec)[0]
@@ -340,17 +364,19 @@ class TestStep:
             assert_same(chain(start(spec, params), params, 5, elliptic._solver.cache_clear), expected)
 
         # delta 1.0 for two steps, 2.5 for two, then 1.0 again: each stretch must be the
-        # one-delta chain from a copy of its first state; no state outside run() carries
-        # a workspace
+        # one-delta chain from a copy of its first state, and no step outside run() writes
+        # into an array that an earlier state exposes
         for spec in specs:
             state = start(spec, make_params(delta=1.0))
+            made = []
             for delta, steps in ((1.0, 2), (2.5, 2), (1.0, 1)):
                 params = make_params(delta=delta)
                 expected = chain(dataclasses.replace(state), params, steps)
                 states = chain(state, params, steps)
                 assert_same(states, expected)
-                assert all(s._workspace is None for s in (state, *states, *expected))
+                made += [(s, fields_bytes(s)) for s in (state, *states, *expected)]
                 state = states[-1]
+            assert all(fields_bytes(s) == saved for s, saved in made)
 
 
 def reference_stable_dt(state, params, dt_safety):
@@ -491,19 +517,33 @@ class TestStepAgainstReference:
 
     def test_cached_drift_is_neither_compared_nor_printed(self):
         # outside run(), stable_dt and step hold the drift in a workspace of their own:
-        # neither the state they read nor the one a step returns carries it, and the
-        # field is no part of a state's value
+        # a state is its six fields alone, and neither call changes the state it reads
+        assert [f.name for f in dataclasses.fields(SimState)] == [
+            "u", "v", "w", "t", "step", "clipped_mass"]
         spec = GridSpec.interval(8)
         params = make_params()
         fresh = homogeneous_state(spec, params)
         bounded = homogeneous_state(spec, params)
         stable_dt(bounded, params)
-        assert bounded._workspace is None and fresh._workspace is None
-        assert repr(bounded) == repr(fresh)
+        assert repr(bounded) == repr(fresh) and fields_bytes(bounded) == fields_bytes(fresh)
         child = step(bounded, params, 1e-4)
-        assert bounded._workspace is None and child._workspace is None
-        (workspace,) = [f for f in dataclasses.fields(SimState) if f.name == "_workspace"]
-        assert not workspace.compare and not workspace.init and not workspace.repr
+        assert repr(bounded) == repr(fresh) and fields_bytes(bounded) == fields_bytes(fresh)
+        assert child.step == 1 and not shares_memory(child, bounded)
+
+    @pytest.mark.parametrize("mode", ["clip", "upwind"])
+    @pytest.mark.parametrize("spec", [GridSpec.interval(20), GridSpec.rectangle((9, 7))])
+    def test_lone_calls_leave_their_argument_alone(self, spec, mode):
+        # rough data and an oversized dt, so the step clips; the argument's arrays stay
+        # bitwise as they were, and the step's result is on arrays of its own
+        params = make_params(chi=4.0, n=spec.dim)
+        rng = np.random.default_rng(7)
+        state = SimState(*(ScalarField(spec, rng.random(spec.shape)) for _ in range(3)), 0.5, 2)
+        saved = fields_bytes(state)
+        dt = stable_dt(state, params)
+        assert fields_bytes(state) == saved
+        child = step(state, params, 3.0 * dt, mode, WAVY)
+        assert fields_bytes(state) == saved and (state.t, state.step) == (0.5, 2)
+        assert child.clipped_mass > 0.0 and not shares_memory(child, state)
 
     def test_a_pickled_state_steps_alike(self):
         spec = GridSpec.rectangle((6, 5))
@@ -682,7 +722,7 @@ class TestRunAgainstPlainLoop:
             assert termination == BREAKDOWN and final.step > 0
 
     @pytest.mark.parametrize("spec", [GridSpec.interval(48), GridSpec.rectangle((16, 12))])
-    def test_states_handed_to_the_callback_stay_as_they_were(self, spec):
+    def test_states_handed_to_the_callback_stay_as_they_were(self, spec, monkeypatch):
         centers = cell_centers(spec)
         config = RunConfig(spec, make_params(chi=3.0, n=spec.dim),
                            ScalarField(spec, 1.0 + 0.5 * np.cos(np.pi * centers[0])),
@@ -691,18 +731,22 @@ class TestRunAgainstPlainLoop:
         kept = []
 
         def keep(state, record):
-            assert state._workspace is None
-            kept.append((state, [f.values.tobytes() for f in (state.u, state.v, state.w)]))
+            # the state shares no memory with the run's pairs or their shells' w
+            for pair in made[0]().last:
+                assert not shares_memory(state, pair.state)
+                assert not any(np.shares_memory(f.values, pair.flat) for f in (state.u, state.v))
+            kept.append((state, fields_bytes(state)))
 
+        made, _ = recording_workspaces(monkeypatch)
         records, final, _ = run(config, callback=keep)
-        assert len(kept) == len(records) == 6 and final._workspace is None
+        assert len(made) == 1 and len(kept) == len(records) == 6
         assert final.step > 4 * len(records)  # each buffer was written between records
         for state, saved in kept:
-            assert [f.values.tobytes() for f in (state.u, state.v, state.w)] == saved
+            assert fields_bytes(state) == saved and not shares_memory(state, final)
 
     def test_only_the_recycled_chain_reuses_its_states(self, monkeypatch):
         # run()'s workspace steps into two state shells by turns; a plain chain makes a
-        # new state each step, so every earlier state keeps its values
+        # new state on arrays of its own each step, so every earlier state keeps its values
         config = bump_config(n=16, t_end=0.01)
         params = config.params
         shells = []
@@ -717,13 +761,16 @@ class TestRunAgainstPlainLoop:
         monkeypatch.undo()
         assert termination == COMPLETED and len(shells) == final.step > 4
         assert all(s is shells[i % 2] for i, s in enumerate(shells)) and shells[0] is not shells[1]
-        assert all(s._workspace is not None for s in shells[:2])
+        assert not shares_memory(shells[0], shells[1])
 
         fresh = [stepper.initial_state(config)]
+        saved = [fields_bytes(fresh[0])]
         for _ in range(4):
             fresh.append(step(fresh[-1], params, 1e-4))
+            saved.append(fields_bytes(fresh[-1]))
         assert len({id(state) for state in fresh}) == 5
-        assert all(state._workspace is None for state in fresh)
+        assert [fields_bytes(state) for state in fresh] == saved
+        assert not any(shares_memory(a, b) for i, a in enumerate(fresh) for b in fresh[:i])
 
     def test_near_overflow_run_warns_nothing(self):
         # u0 = 1e306: the divergence and the record's u^p overflow before the step's
@@ -753,16 +800,9 @@ class TestRunAgainstPlainLoop:
 
     @pytest.mark.parametrize("forcing", [None, nan_in_v_after(0.005)], ids=["completed", "breakdown"])
     def test_workspace_is_freed_when_run_returns(self, monkeypatch, forcing):
-        # the shells refer back to the workspace; run() drops its pairs, so reference
-        # counting alone frees the buffers, with the cyclic collector off
-        made = []
-
-        class Workspace(stepper._Workspace):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(weakref.ref(self))
-
-        monkeypatch.setattr(stepper, "_Workspace", Workspace)
+        # nothing refers back to the workspace, so reference counting alone frees its
+        # buffers when run() returns, with the cyclic collector off
+        made, _ = recording_workspaces(monkeypatch)
         gc.disable()
         try:
             _, _, termination = run(bump_config(n=16, t_end=0.01), forcing)
@@ -899,11 +939,20 @@ class TestRun:
         assert termination == COMPLETED
         assert len(calls) == final.step
 
-    def test_final_state_holds_no_workspace(self):
-        # the run's scratch is freed with it; stepping its final state makes a new workspace
+    def test_final_state_holds_no_workspace(self, monkeypatch):
+        # the run's workspace is freed while its final state lives, with the cyclic collector
+        # off, and the final state shares no memory with its pairs; stepping the final state
+        # makes a new workspace
         config = bump_config(n=16, t_end=0.01)
-        _, final, termination = run(config)
-        assert termination == COMPLETED and final._workspace is None
+        made, buffers = recording_workspaces(monkeypatch)
+        gc.disable()
+        try:
+            _, final, termination = run(config)
+            assert termination == COMPLETED and len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+        monkeypatch.undo()
+        assert not any(np.shares_memory(f.values, b) for f in (final.u, final.v, final.w) for b in buffers)
         dt = stable_dt(final, config.params)
         expected = reference_step(final, config.params, dt, "clip", None)
         assert step(final, config.params, dt).u.values.tobytes() == expected[0].tobytes()
